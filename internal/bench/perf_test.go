@@ -81,7 +81,7 @@ func BenchmarkStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	cycles := int64(0)
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		cycles += runSteadyState(s, 1)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
@@ -100,7 +100,7 @@ func BenchmarkStepRecorder(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	cycles := int64(0)
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		cycles += runSteadyState(s, 1)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
@@ -131,7 +131,7 @@ func TestStepRecorderSteadyStateZeroAlloc(t *testing.T) {
 // executes it.
 func BenchmarkRunFigure(b *testing.B) {
 	b.ReportAllocs()
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		SweepOnce(nil, 4096, 1, true)
 	}
 }
@@ -140,7 +140,7 @@ func BenchmarkRunFigure(b *testing.B) {
 // the before/after pair quoted in the README.
 func BenchmarkRunFigureNoFF(b *testing.B) {
 	b.ReportAllocs()
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		cfg := sim.DefaultConfig(1)
 		measureSweepNoFF(nil, cfg, 4096, 1, true)
 	}
@@ -201,7 +201,7 @@ func benchmarkIdleHeavy(b *testing.B, ff bool) {
 	cfg.Mem.ReadLatency = 800 // NVM-grade reads: the paper's persistence domain
 	b.ReportAllocs()
 	var cycles int64
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		s := sim.New(cfg)
 		s.SetFastForward(ff)
 		n, err := s.Run([]*isa.Program{idleHeavyProg}, runLimit)
@@ -275,7 +275,7 @@ func benchmarkDense4(b *testing.B, parallel int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	cycles := int64(0)
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		cycles += runDense(s, rotation, 1)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
@@ -291,7 +291,8 @@ func benchmarkRunFigure4(b *testing.B, parallel int) {
 	Parallel = parallel
 	defer func() { Parallel = old }()
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		SweepOnce(nil, 1<<18, 4, true)
 	}
 }
@@ -312,7 +313,7 @@ func BenchmarkStepParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	cycles := int64(0)
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		cycles += runSteadyState(s, 1)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")

@@ -11,9 +11,10 @@ import (
 )
 
 // newEnv returns a fresh non-persistent environment (structure logic under
-// test, not flush policy).
+// test, not flush policy). The concurrency tests drive it from goroutines,
+// so its hierarchy is a shared one.
 func newEnv(threads int) (*persist.Env, *memsim.Allocator) {
-	h := memsim.New(memsim.DefaultConfig(threads))
+	h := memsim.NewShared(memsim.DefaultConfig(threads))
 	return &persist.Env{Pol: persist.NewPlain(h, false), Mode: persist.Manual},
 		memsim.NewAllocator(1 << 20)
 }
@@ -291,7 +292,7 @@ func TestConcurrentSameKeyHammer(t *testing.T) {
 func TestEveryPolicyRunsEveryStructure(t *testing.T) {
 	// Smoke: all five policies drive all four structures without deadlock
 	// or state corruption, across all three modes.
-	h := memsim.New(memsim.DefaultConfig(2))
+	h := memsim.NewShared(memsim.DefaultConfig(2))
 	base := uint64(1 << 22)
 	pols := []persist.Policy{
 		persist.NewPlain(h, false),

@@ -6,15 +6,26 @@
 // including the Skip It bit, and a virtual cycle clock per thread that every
 // access and writeback charges.
 //
-// Real concurrent Go code (the lock-free structures in internal/ds) calls
-// into a Hierarchy from multiple goroutines; a single mutex guards the tag
-// state. The mutex serializes simulation bookkeeping, not virtual time:
-// throughput is computed from the per-thread virtual clocks, so wall-clock
-// lock contention never distorts results.
+// A Hierarchy has one of two ownership contracts. One from New takes no
+// lock: a single goroutine owns it, as in the figure harnesses, which
+// interleave the simulated threads round-robin from one goroutine. One from
+// NewShared takes a mutex around every public method, so real concurrent Go
+// code (the lock-free structures in internal/ds run from goroutines) may
+// call it from many goroutines at once. Both run the same model body. The
+// mutex serializes simulation bookkeeping, not virtual time: throughput is
+// computed from the per-thread virtual clocks, so wall-clock lock
+// contention never distorts results.
+//
+// Geometry (LineBytes, L1Sets, L2Sets) must be powers of two: set and tag
+// indexing is a shift and a mask. Each cache stores its tags packed, one
+// word per way holding tag+1 (0 marks an invalid way), so a set's tag scan
+// reads one host cache line; dirty, skip and LRU state live in parallel
+// per-way arrays.
 package memsim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -73,21 +84,6 @@ func DefaultConfig(threads int) Config {
 	}
 }
 
-type l1Line struct {
-	valid bool
-	tag   uint64
-	dirty bool
-	skip  bool
-	used  uint64
-}
-
-type l2Line struct {
-	valid bool
-	tag   uint64
-	dirty bool
-	used  uint64
-}
-
 // Stats counts hierarchy traffic, aggregated across threads.
 type Stats struct {
 	Accesses        uint64
@@ -102,157 +98,204 @@ type Stats struct {
 	Fences          uint64
 }
 
-// Hierarchy is the shared two-level tag-only cache model.
+// Hierarchy is the two-level tag-only cache model: one L1 per thread and a
+// shared L2. Ways are addressed by index into the per-way arrays; thread
+// t's L1 occupies indices [t*l1Size, (t+1)*l1Size) of the l1 arrays.
 type Hierarchy struct {
-	mu     sync.Mutex
-	cfg    Config
-	l1     [][]l1Line // [thread][set*ways+way]
-	l2     []l2Line
+	mu  *sync.Mutex // nil unless built by NewShared
+	cfg Config
+
+	lineShift uint   // log2(LineBytes)
+	l1SetBits uint   // log2(L1Sets)
+	l1SetMask uint64 // L1Sets-1
+	l2SetBits uint   // log2(L2Sets)
+	l2SetMask uint64 // L2Sets-1
+	l1Size    int    // ways in one thread's L1
+
+	l1Tags  []uint64 // tag+1 per way; 0 = invalid
+	l1Dirty []bool
+	l1Skip  []bool
+	l1Used  []uint64 // LRU stamp (h.tick at last touch)
+	l2Tags  []uint64
+	l2Dirty []bool
+	l2Used  []uint64
+
 	clocks []float64
 	tick   uint64
 	stats  Stats
 }
 
-// New builds a hierarchy for cfg.Threads threads.
+// New builds a single-owner hierarchy for cfg.Threads threads. It takes no
+// lock: at most one goroutine may call it at a time. It panics on a
+// geometry that is not a power of two.
 func New(cfg Config) *Hierarchy {
-	if cfg.Threads <= 0 || cfg.L1Sets <= 0 || cfg.L2Sets <= 0 {
+	if cfg.Threads <= 0 || cfg.L1Ways <= 0 || cfg.L2Ways <= 0 {
 		panic("memsim: bad config")
 	}
-	h := &Hierarchy{cfg: cfg}
-	h.l1 = make([][]l1Line, cfg.Threads)
-	for t := range h.l1 {
-		h.l1[t] = make([]l1Line, cfg.L1Sets*cfg.L1Ways)
+	h := &Hierarchy{
+		cfg:       cfg,
+		lineShift: log2("LineBytes", cfg.LineBytes),
+		l1SetBits: log2("L1Sets", uint64(cfg.L1Sets)),
+		l1SetMask: uint64(cfg.L1Sets) - 1,
+		l2SetBits: log2("L2Sets", uint64(cfg.L2Sets)),
+		l2SetMask: uint64(cfg.L2Sets) - 1,
+		l1Size:    cfg.L1Sets * cfg.L1Ways,
 	}
-	h.l2 = make([]l2Line, cfg.L2Sets*cfg.L2Ways)
+	l1 := cfg.Threads * h.l1Size
+	h.l1Tags = make([]uint64, l1)
+	h.l1Dirty = make([]bool, l1)
+	h.l1Skip = make([]bool, l1)
+	h.l1Used = make([]uint64, l1)
+	l2 := cfg.L2Sets * cfg.L2Ways
+	h.l2Tags = make([]uint64, l2)
+	h.l2Dirty = make([]bool, l2)
+	h.l2Used = make([]uint64, l2)
 	h.clocks = make([]float64, cfg.Threads)
 	return h
+}
+
+// NewShared builds a hierarchy that many goroutines may call at once:
+// every public method holds one mutex. Use it only for goroutine callers;
+// single-owner callers use New.
+func NewShared(cfg Config) *Hierarchy {
+	h := New(cfg)
+	h.mu = new(sync.Mutex)
+	return h
+}
+
+func log2(name string, v uint64) uint {
+	if v == 0 || v&(v-1) != 0 {
+		panic(fmt.Sprintf("memsim: %s = %d is not a power of two", name, v))
+	}
+	return uint(bits.TrailingZeros64(v))
 }
 
 // Config returns the configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
-func (h *Hierarchy) line(addr uint64) uint64 { return addr / h.cfg.LineBytes }
+func (h *Hierarchy) line(addr uint64) uint64 { return addr >> h.lineShift }
 
-func (h *Hierarchy) l1Slot(tid int, lineNo uint64) (setBase int, tag uint64) {
-	set := int(lineNo % uint64(h.cfg.L1Sets))
-	return set * h.cfg.L1Ways, lineNo / uint64(h.cfg.L1Sets)
+// l1Slot returns lineNo's set offset inside one thread's L1 and its packed
+// tag (tag+1).
+func (h *Hierarchy) l1Slot(lineNo uint64) (setBase int, key uint64) {
+	return int(lineNo&h.l1SetMask) * h.cfg.L1Ways, lineNo>>h.l1SetBits + 1
 }
 
-func (h *Hierarchy) l2Slot(lineNo uint64) (setBase int, tag uint64) {
-	set := int(lineNo % uint64(h.cfg.L2Sets))
-	return set * h.cfg.L2Ways, lineNo / uint64(h.cfg.L2Sets)
+func (h *Hierarchy) l2Slot(lineNo uint64) (setBase int, key uint64) {
+	return int(lineNo&h.l2SetMask) * h.cfg.L2Ways, lineNo>>h.l2SetBits + 1
 }
 
-func (h *Hierarchy) findL1(tid int, lineNo uint64) *l1Line {
-	base, tag := h.l1Slot(tid, lineNo)
-	ways := h.l1[tid][base : base+h.cfg.L1Ways]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			return &ways[i]
+// findL1 returns the index of the way in tid's L1 holding key in the set at
+// setBase, or -1.
+func (h *Hierarchy) findL1(tid, setBase int, key uint64) int {
+	base := tid*h.l1Size + setBase
+	for i, k := range h.l1Tags[base : base+h.cfg.L1Ways] {
+		if k == key {
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
-func (h *Hierarchy) findL2(lineNo uint64) *l2Line {
-	base, tag := h.l2Slot(lineNo)
-	ways := h.l2[base : base+h.cfg.L2Ways]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			return &ways[i]
+// findL2 returns the index of the L2 way holding lineNo, or -1.
+func (h *Hierarchy) findL2(lineNo uint64) int {
+	base, key := h.l2Slot(lineNo)
+	for i, k := range h.l2Tags[base : base+h.cfg.L2Ways] {
+		if k == key {
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
-// victimL1 returns the way to fill for lineNo in tid's L1, evicting as
-// needed (dirty victims move their dirty bit into L2).
-func (h *Hierarchy) victimL1(tid int, lineNo uint64) *l1Line {
-	base, tag := h.l1Slot(tid, lineNo)
-	ways := h.l1[tid][base : base+h.cfg.L1Ways]
-	var victim *l1Line
-	for i := range ways {
-		if !ways[i].valid {
-			victim = &ways[i]
-			break
+// lru returns the way to replace among the n ways at base: the first
+// invalid way, else the first least recently used one.
+func lru(tags, used []uint64, base, n int) int {
+	tags = tags[base : base+n]
+	used = used[base : base+len(tags)]
+	victim, oldest := 0, ^uint64(0)
+	for i, k := range tags {
+		if k == 0 {
+			return base + i
 		}
-		if victim == nil || ways[i].used < victim.used {
-			victim = &ways[i]
+		if u := used[i]; u < oldest {
+			victim, oldest = i, u
 		}
 	}
-	if victim.valid && victim.dirty {
+	return base + victim
+}
+
+// victimL1 installs key in the set at setBase of tid's L1 and returns the
+// way, evicting as needed (dirty victims move their dirty bit into L2). The
+// caller sets the way's dirty, skip and LRU state.
+func (h *Hierarchy) victimL1(tid int, lineNo uint64, setBase int, key uint64) int {
+	v := lru(h.l1Tags, h.l1Used, tid*h.l1Size+setBase, h.cfg.L1Ways)
+	if old := h.l1Tags[v]; old != 0 && h.l1Dirty[v] {
 		// Victim writeback: the dirty data lands in L2 (inclusive).
-		set := int(lineNo % uint64(h.cfg.L1Sets))
-		victimLine := victim.tag*uint64(h.cfg.L1Sets) + uint64(set)
-		if l2 := h.findL2(victimLine); l2 != nil {
-			l2.dirty = true
+		victimLine := (old-1)<<h.l1SetBits | lineNo&h.l1SetMask
+		if w := h.findL2(victimLine); w >= 0 {
+			h.l2Dirty[w] = true
 		} else {
 			// The L2 lost the line (inclusive eviction is modeled
 			// lazily); treat the victim as persisted via memory.
 			h.stats.FlushWrites++
 		}
 	}
-	victim.valid = false
-	victim.tag = tag
-	return victim
+	h.l1Tags[v] = key
+	return v
 }
 
-// fillL2 ensures lineNo is resident in L2, returning the entry and whether
-// it missed. A dirty L2 victim is written to memory; L1 copies of the victim
+// fillL2 ensures lineNo is resident in L2, returning its way and whether it
+// missed. A dirty L2 victim is written to memory; L1 copies of the victim
 // are invalidated (inclusion).
-func (h *Hierarchy) fillL2(lineNo uint64) (*l2Line, bool) {
-	if l := h.findL2(lineNo); l != nil {
-		return l, false
+func (h *Hierarchy) fillL2(lineNo uint64) (int, bool) {
+	if w := h.findL2(lineNo); w >= 0 {
+		return w, false
 	}
-	base, tag := h.l2Slot(lineNo)
-	ways := h.l2[base : base+h.cfg.L2Ways]
-	var victim *l2Line
-	for i := range ways {
-		if !ways[i].valid {
-			victim = &ways[i]
-			break
-		}
-		if victim == nil || ways[i].used < victim.used {
-			victim = &ways[i]
-		}
-	}
-	if victim.valid {
-		set := int(lineNo % uint64(h.cfg.L2Sets))
-		victimLine := victim.tag*uint64(h.cfg.L2Sets) + uint64(set)
+	base, key := h.l2Slot(lineNo)
+	v := lru(h.l2Tags, h.l2Used, base, h.cfg.L2Ways)
+	if old := h.l2Tags[v]; old != 0 {
+		victimLine := (old-1)<<h.l2SetBits | lineNo&h.l2SetMask
+		l1Base, l1Key := h.l1Slot(victimLine)
 		for t := 0; t < h.cfg.Threads; t++ {
-			if l1 := h.findL1(t, victimLine); l1 != nil {
-				if l1.dirty {
-					victim.dirty = true
+			if w := h.findL1(t, l1Base, l1Key); w >= 0 {
+				if h.l1Dirty[w] {
+					h.l2Dirty[v] = true
 				}
-				l1.valid = false
+				h.l1Tags[w] = 0
 			}
 		}
-		if victim.dirty {
+		if h.l2Dirty[v] {
 			h.stats.FlushWrites++ // inclusive eviction writeback
 		}
 	}
-	victim.valid = true
-	victim.tag = tag
-	victim.dirty = false
-	return victim, true
+	h.l2Tags[v] = key
+	h.l2Dirty[v] = false
+	return v, true
 }
 
 // Access models one 8-byte load or store by thread tid, charging its virtual
 // clock and updating tag/dirty/skip state.
 func (h *Hierarchy) Access(tid int, addr uint64, write bool) {
+	if h.mu == nil {
+		h.access(tid, addr, write)
+		return
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.access(tid, addr, write)
+}
+
+func (h *Hierarchy) access(tid int, addr uint64, write bool) {
 	h.tick++
 	h.stats.Accesses++
 	lineNo := h.line(addr)
+	setBase, key := h.l1Slot(lineNo)
 
-	own := h.findL1(tid, lineNo)
-	if own != nil && (!write || own.dirty) {
+	own := h.findL1(tid, setBase, key)
+	if own >= 0 && (!write || h.l1Dirty[own]) {
 		// Read hit, or write hit on a line we already own dirty.
-		own.used = h.tick
-		if write {
-			own.dirty = true
-		}
+		h.l1Used[own] = h.tick
 		h.clocks[tid] += h.cfg.L1Hit
 		h.stats.L1Hits++
 		return
@@ -266,21 +309,21 @@ func (h *Hierarchy) Access(tid int, addr uint64, write bool) {
 			if t == tid {
 				continue
 			}
-			if other := h.findL1(t, lineNo); other != nil {
-				if other.dirty {
+			if w := h.findL1(t, setBase, key); w >= 0 {
+				if h.l1Dirty[w] {
 					l2, _ := h.fillL2(lineNo)
-					l2.dirty = true
+					h.l2Dirty[l2] = true
 					cost += h.cfg.Coherence
 				}
-				other.valid = false
+				h.l1Tags[w] = 0
 			}
 		}
 	}
 
-	if own != nil {
+	if own >= 0 {
 		// Write hit on a clean (possibly shared) line: an upgrade.
-		own.dirty = true
-		own.used = h.tick
+		h.l1Dirty[own] = true
+		h.l1Used[own] = h.tick
 		h.clocks[tid] += cost + h.cfg.Coherence/2
 		h.stats.L1Hits++
 		return
@@ -288,25 +331,24 @@ func (h *Hierarchy) Access(tid int, addr uint64, write bool) {
 
 	// L1 miss: find the data. A dirty copy in another L1 is the expensive
 	// coherence path; otherwise L2, otherwise memory.
-	skip := true
 	var remoteDirty bool
 	for t := 0; t < h.cfg.Threads; t++ {
 		if t == tid {
 			continue
 		}
-		if other := h.findL1(t, lineNo); other != nil && other.dirty {
+		if w := h.findL1(t, setBase, key); w >= 0 && h.l1Dirty[w] {
 			remoteDirty = true
 			l2, _ := h.fillL2(lineNo)
-			l2.dirty = true
-			other.dirty = false
-			other.skip = false
+			h.l2Dirty[l2] = true
+			h.l1Dirty[w] = false
+			h.l1Skip[w] = false
 			if write {
-				other.valid = false
+				h.l1Tags[w] = 0
 			}
 		}
 	}
 	l2, missed := h.fillL2(lineNo)
-	l2.used = h.tick
+	h.l2Used[l2] = h.tick
 	switch {
 	case remoteDirty:
 		cost += h.cfg.L2Hit + h.cfg.Coherence
@@ -320,13 +362,12 @@ func (h *Hierarchy) Access(tid int, addr uint64, write bool) {
 	}
 	// GrantData vs GrantDataDirty (§6.1): the skip bit is set only when
 	// the granted line is not dirty in L2.
-	skip = !l2.dirty
+	skip := !h.l2Dirty[l2]
 
-	v := h.victimL1(tid, lineNo)
-	v.valid = true
-	v.dirty = write
-	v.skip = skip
-	v.used = h.tick
+	v := h.victimL1(tid, lineNo, setBase, key)
+	h.l1Dirty[v] = write
+	h.l1Skip[v] = skip
+	h.l1Used[v] = h.tick
 	h.clocks[tid] += cost
 }
 
@@ -336,42 +377,51 @@ func (h *Hierarchy) Access(tid int, addr uint64, write bool) {
 // nothing is dirty, §5.5) or writes the line back to memory. clean selects
 // CBO.CLEAN semantics (copies survive) vs CBO.FLUSH (copies invalidated).
 func (h *Hierarchy) Flush(tid int, addr uint64, clean, skipItHW bool) {
+	if h.mu == nil {
+		h.flush(tid, addr, clean, skipItHW)
+		return
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.flush(tid, addr, clean, skipItHW)
+}
+
+func (h *Hierarchy) flush(tid int, addr uint64, clean, skipItHW bool) {
 	h.tick++
 	h.stats.Flushes++
 	lineNo := h.line(addr)
+	setBase, key := h.l1Slot(lineNo)
 
-	own := h.findL1(tid, lineNo)
-	if skipItHW && own != nil && !own.dirty && own.skip {
-		h.clocks[tid] += h.cfg.CboPipeline
-		h.stats.FlushDropsL1++
-		return
+	if skipItHW {
+		if own := h.findL1(tid, setBase, key); own >= 0 && !h.l1Dirty[own] && h.l1Skip[own] {
+			h.clocks[tid] += h.cfg.CboPipeline
+			h.stats.FlushDropsL1++
+			return
+		}
 	}
 
 	// Collect dirtiness across the hierarchy.
 	dirty := false
 	for t := 0; t < h.cfg.Threads; t++ {
-		if l := h.findL1(t, lineNo); l != nil {
-			if l.dirty {
+		if w := h.findL1(t, setBase, key); w >= 0 {
+			if h.l1Dirty[w] {
 				dirty = true
 			}
-			l.dirty = false
+			h.l1Dirty[w] = false
 			if clean {
-				l.skip = t == tid // §6.1: the requester's ack sets its bit
+				h.l1Skip[w] = t == tid // §6.1: the requester's ack sets its bit
 			} else {
-				l.valid = false
+				h.l1Tags[w] = 0
 			}
 		}
 	}
-	l2 := h.findL2(lineNo)
-	if l2 != nil {
-		if l2.dirty {
+	if w := h.findL2(lineNo); w >= 0 {
+		if h.l2Dirty[w] {
 			dirty = true
 		}
-		l2.dirty = false
+		h.l2Dirty[w] = false
 		if !clean {
-			l2.valid = false
+			h.l2Tags[w] = 0
 		}
 	}
 
@@ -386,8 +436,10 @@ func (h *Hierarchy) Flush(tid int, addr uint64, clean, skipItHW bool) {
 
 // Fence charges the fence cost to tid's clock.
 func (h *Hierarchy) Fence(tid int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	if h.mu != nil {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+	}
 	h.stats.Fences++
 	h.clocks[tid] += h.cfg.Fence
 }
@@ -395,6 +447,10 @@ func (h *Hierarchy) Fence(tid int) {
 // AddCycles charges raw compute cycles (bit masking, counter arithmetic in
 // software elision schemes) to tid's clock.
 func (h *Hierarchy) AddCycles(tid int, c float64) {
+	if h.mu == nil {
+		h.clocks[tid] += c
+		return
+	}
 	h.mu.Lock()
 	h.clocks[tid] += c
 	h.mu.Unlock()
@@ -403,15 +459,18 @@ func (h *Hierarchy) AddCycles(tid int, c float64) {
 // DirtyAnywhere reports whether addr's line holds unpersisted data in any
 // cache level — the predicate a correct flush-elision scheme must respect.
 func (h *Hierarchy) DirtyAnywhere(addr uint64) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	if h.mu != nil {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+	}
 	lineNo := h.line(addr)
+	setBase, key := h.l1Slot(lineNo)
 	for t := 0; t < h.cfg.Threads; t++ {
-		if l := h.findL1(t, lineNo); l != nil && l.dirty {
+		if w := h.findL1(t, setBase, key); w >= 0 && h.l1Dirty[w] {
 			return true
 		}
 	}
-	if l := h.findL2(lineNo); l != nil && l.dirty {
+	if w := h.findL2(lineNo); w >= 0 && h.l2Dirty[w] {
 		return true
 	}
 	return false
@@ -419,15 +478,19 @@ func (h *Hierarchy) DirtyAnywhere(addr uint64) bool {
 
 // Clock returns tid's virtual cycle count.
 func (h *Hierarchy) Clock(tid int) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	if h.mu != nil {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+	}
 	return h.clocks[tid]
 }
 
 // MaxSeconds converts the slowest thread's clock to seconds.
 func (h *Hierarchy) MaxSeconds() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	if h.mu != nil {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+	}
 	max := 0.0
 	for _, c := range h.clocks {
 		if c > max {
@@ -439,16 +502,20 @@ func (h *Hierarchy) MaxSeconds() float64 {
 
 // Stats returns aggregated counters.
 func (h *Hierarchy) Stats() Stats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	if h.mu != nil {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+	}
 	return h.stats
 }
 
 // ResetClocks zeroes the virtual clocks (e.g. after warmup) while keeping
 // cache state.
 func (h *Hierarchy) ResetClocks() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	if h.mu != nil {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+	}
 	for i := range h.clocks {
 		h.clocks[i] = 0
 	}

@@ -8,6 +8,12 @@ import (
 
 func h2() *Hierarchy { return New(DefaultConfig(2)) }
 
+// l1Way returns the index of the way in tid's L1 holding addr's line, or -1.
+func l1Way(h *Hierarchy, tid int, addr uint64) int {
+	setBase, key := h.l1Slot(h.line(addr))
+	return h.findL1(tid, setBase, key)
+}
+
 func TestColdMissThenHit(t *testing.T) {
 	h := h2()
 	h.Access(0, 0x1000, false)
@@ -296,8 +302,8 @@ func TestSkipDropImpliesNotDirtyProperty(t *testing.T) {
 			// Check the §6.2 predicate for every line and thread.
 			for _, a := range lines {
 				for t2 := 0; t2 < 2; t2++ {
-					l := h.findL1(t2, h.line(a))
-					if l != nil && l.valid && !l.dirty && l.skip && h.DirtyAnywhere(a) {
+					w := l1Way(h, t2, a)
+					if w >= 0 && h.l1Tags[w] != 0 && !h.l1Dirty[w] && h.l1Skip[w] && h.DirtyAnywhere(a) {
 						return false
 					}
 				}
@@ -324,9 +330,9 @@ func TestFourThreadCoherenceRotation(t *testing.T) {
 	// Exactly one dirty copy exists.
 	holders := 0
 	for tid := 0; tid < 4; tid++ {
-		if l := h.findL1(tid, h.line(0x1000)); l != nil && l.valid {
+		if w := l1Way(h, tid, 0x1000); w >= 0 && h.l1Tags[w] != 0 {
 			holders++
-			if !l.dirty {
+			if !h.l1Dirty[w] {
 				t.Fatal("final owner not dirty")
 			}
 		}
@@ -345,7 +351,7 @@ func TestL2EvictionInvalidatesL1Copies(t *testing.T) {
 	for i := uint64(1); i <= uint64(h.cfg.L2Ways); i++ {
 		h.Access(0, i*stride, false)
 	}
-	if l := h.findL1(0, 0); l != nil && l.valid {
+	if w := l1Way(h, 0, 0); w >= 0 && h.l1Tags[w] != 0 {
 		t.Fatal("L1 kept a line the inclusive L2 evicted")
 	}
 }
@@ -361,5 +367,173 @@ func TestFlushOfL1DirtyUnknownToL2(t *testing.T) {
 	}
 	if h.DirtyAnywhere(0x4000) {
 		t.Fatal("dirty after flush")
+	}
+}
+
+// goldenStream drives h with a seeded mix of loads, stores, CBO.CLEAN and
+// CBO.FLUSH with and without Skip It, fences and raw cycle charges. Its
+// addresses come from four pools: a few hot lines every thread shares
+// (coherence misses), 12 lines in one L1 set and 12 lines in one L2 set
+// (8-way evictions, dirty-victim writebacks, inclusive invalidations), and
+// lines scattered over 16 MiB (capacity misses).
+func goldenStream(h *Hierarchy, seed uint64, ops int) {
+	threads := uint64(h.cfg.Threads)
+	l1Stride := uint64(h.cfg.L1Sets) * h.cfg.LineBytes
+	l2Stride := uint64(h.cfg.L2Sets) * h.cfg.LineBytes
+	s := seed
+	for i := 0; i < ops; i++ {
+		// splitmix64
+		s += 0x9e3779b97f4a7c15
+		r := s
+		r = (r ^ r>>30) * 0xbf58476d1ce4e5b9
+		r = (r ^ r>>27) * 0x94d049bb133111eb
+		r ^= r >> 31
+
+		tid := int(r % threads)
+		var addr uint64
+		switch (r >> 8) % 4 {
+		case 0:
+			addr = 0x10000 + (r>>16)%8*64 + (r>>24)%8*8
+		case 1:
+			addr = 0x200000 + (r>>16)%12*l1Stride
+		case 2:
+			addr = 0x400000 + (r>>16)%12*l2Stride
+		default:
+			addr = (r >> 16) % (1 << 24) &^ 7
+		}
+		switch op := (r >> 40) % 16; {
+		case op < 6:
+			h.Access(tid, addr, false)
+		case op < 10:
+			h.Access(tid, addr, true)
+		case op < 13:
+			h.Flush(tid, addr, r>>50&1 == 1, r>>51&1 == 1)
+		case op < 14:
+			h.Fence(tid)
+		default:
+			h.AddCycles(tid, float64((r>>44)%16)/2)
+		}
+	}
+}
+
+// goldenProbe lists the hot, L1-set and L2-set pool lines of goldenStream.
+func goldenProbe(h *Hierarchy) []uint64 {
+	l1Stride := uint64(h.cfg.L1Sets) * h.cfg.LineBytes
+	l2Stride := uint64(h.cfg.L2Sets) * h.cfg.LineBytes
+	var out []uint64
+	for i := uint64(0); i < 8; i++ {
+		out = append(out, 0x10000+i*64)
+	}
+	for i := uint64(0); i < 12; i++ {
+		out = append(out, 0x200000+i*l1Stride, 0x400000+i*l2Stride)
+	}
+	return out
+}
+
+// TestGoldenStream pins the model's behaviour in both ownership modes: a
+// host-side optimization must reproduce these counters, clocks and
+// dirty-line count exactly, and a change to what the model simulates must
+// update them deliberately.
+func TestGoldenStream(t *testing.T) {
+	cases := []struct {
+		threads int
+		stats   Stats
+		clocks  []float64
+		dirty   int
+	}{
+		{2, Stats{Accesses: 24925, L1Hits: 7137, L2Hits: 5341, MemFills: 10872, CoherenceMisses: 1575,
+			Flushes: 7565, FlushDropsL1: 334, FlushSkipsL2: 4606, FlushWrites: 4226, Fences: 2550},
+			[]float64{949421, 945723.5}, 17},
+		{4, Stats{Accesses: 25035, L1Hits: 5029, L2Hits: 6678, MemFills: 10899, CoherenceMisses: 2429,
+			Flushes: 7444, FlushDropsL1: 221, FlushSkipsL2: 4646, FlushWrites: 4164, Fences: 2509},
+			[]float64{495628.5, 495246, 486641.5, 490967}, 12},
+	}
+	for _, c := range cases {
+		for _, mk := range []struct {
+			name string
+			new  func(Config) *Hierarchy
+		}{{"New", New}, {"NewShared", NewShared}} {
+			h := mk.new(DefaultConfig(c.threads))
+			goldenStream(h, uint64(c.threads)*1000+7, 40000)
+			if got := h.Stats(); got != c.stats {
+				t.Errorf("%s threads=%d: stats\n got %+v\nwant %+v", mk.name, c.threads, got, c.stats)
+			}
+			for tid, want := range c.clocks {
+				if got := h.Clock(tid); got != want {
+					t.Errorf("%s threads=%d: Clock(%d) = %v, want %v", mk.name, c.threads, tid, got, want)
+				}
+			}
+			dirty := 0
+			for _, a := range goldenProbe(h) {
+				if h.DirtyAnywhere(a) {
+					dirty++
+				}
+			}
+			if dirty != c.dirty {
+				t.Errorf("%s threads=%d: %d probe lines dirty, want %d", mk.name, c.threads, dirty, c.dirty)
+			}
+		}
+	}
+}
+
+func TestNewRejectsNonPowerOfTwoGeometry(t *testing.T) {
+	for _, bad := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"L1Sets", func(c *Config) { c.L1Sets = 48 }},
+		{"L2Sets", func(c *Config) { c.L2Sets = 1000 }},
+		{"LineBytes", func(c *Config) { c.LineBytes = 96 }},
+		{"L1Sets=0", func(c *Config) { c.L1Sets = 0 }},
+	} {
+		t.Run(bad.name, func(t *testing.T) {
+			cfg := DefaultConfig(2)
+			bad.edit(&cfg)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New accepted %+v", cfg)
+				}
+			}()
+			New(cfg)
+		})
+	}
+}
+
+// TestSharedHammer drives one NewShared hierarchy from a goroutine per
+// simulated thread; under -race it proves the shared contract locks every
+// public method.
+func TestSharedHammer(t *testing.T) {
+	const threads, ops = 4, 2000
+	h := NewShared(DefaultConfig(threads))
+	var wg sync.WaitGroup
+	for tid := 0; tid < threads; tid++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				addr := uint64(i%64) * 64
+				switch i % 8 {
+				case 0, 1, 2:
+					h.Access(tid, addr, false)
+				case 3, 4:
+					h.Access(tid, addr, true)
+				case 5:
+					h.Flush(tid, addr, i%16 == 5, true)
+				case 6:
+					h.Fence(tid)
+					h.AddCycles(tid, 1)
+				default:
+					h.DirtyAnywhere(addr)
+					h.Clock(tid)
+					h.Stats()
+					h.MaxSeconds()
+				}
+			}
+		}(tid)
+	}
+	wg.Wait()
+	st := h.Stats()
+	if st.Accesses != threads*ops*5/8 || st.Flushes != threads*ops/8 || st.Fences != threads*ops/8 {
+		t.Fatalf("lost operations: %+v", st)
 	}
 }

@@ -6,6 +6,9 @@ import (
 	"skipit/internal/sweep"
 )
 
+// DefaultFleetTimeout is the fleet-run cap used when Fleet.Timeout is zero.
+const DefaultFleetTimeout = 10 * time.Minute
+
 // Fleet runs a job slice through a remote coordinator, returning results in
 // submission order — a drop-in for sweep.Runner.Run, with the same local
 // store semantics (content-address hits skip submission; fresh records are
@@ -35,7 +38,8 @@ type Fleet struct {
 	// SubmitRetries bounds submit attempts before downgrading. Default 3.
 	SubmitRetries int
 	// Timeout caps the whole fleet run; past it the remaining jobs
-	// downgrade. 0 means no cap.
+	// downgrade. Default DefaultFleetTimeout, so a run whose workers have
+	// all exited falls back in process instead of polling forever.
 	Timeout time.Duration
 	// Logf receives the downgrade notices. Default discards.
 	Logf func(format string, args ...any)
@@ -61,6 +65,10 @@ func (f *Fleet) Run(jobs []sweep.Job) []sweep.JobResult {
 	submitRetries := f.SubmitRetries
 	if submitRetries <= 0 {
 		submitRetries = 3
+	}
+	timeout := f.Timeout
+	if timeout <= 0 {
+		timeout = DefaultFleetTimeout
 	}
 
 	results := make([]sweep.JobResult, len(jobs))
@@ -110,10 +118,7 @@ func (f *Fleet) Run(jobs []sweep.Job) []sweep.JobResult {
 	}
 
 	// Poll until every submitted job is terminal.
-	var deadline time.Time
-	if f.Timeout > 0 {
-		deadline = time.Now().Add(f.Timeout)
-	}
+	deadline := time.Now().Add(timeout)
 	consecutiveFails := 0
 	for {
 		resp, err := f.Client.Results(ResultsRequest{IDs: ids})
@@ -132,8 +137,8 @@ func (f *Fleet) Run(jobs []sweep.Job) []sweep.JobResult {
 		if resp.Done {
 			break
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			logf("sweepd: DEGRADED: fleet run exceeded %s; finishing the remaining jobs in process", f.Timeout)
+		if time.Now().After(deadline) {
+			logf("sweepd: DEGRADED: fleet run exceeded %s; finishing the remaining jobs in process", timeout)
 			return f.fallback(jobs, results, byID, logf)
 		}
 		time.Sleep(pollEvery)

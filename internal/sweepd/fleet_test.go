@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,7 +88,11 @@ func TestFleetRunsThroughCoordinatorByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fleet run over the in-process HTTP stack, one worker.
+	// Fleet run over the in-process HTTP stack, one worker. The worker
+	// exits once it sees a drained queue, so it must not start before the
+	// Fleet's submit is acknowledged: a worker that leases first finds the
+	// queue empty, exits, and leaves the submitted jobs with no one to run
+	// them.
 	coordStore := testStore(t)
 	c, err := NewCoordinator(CoordConfig{Store: coordStore, Seed: 3,
 		LeaseTTL: 5 * time.Second, Logf: t.Logf})
@@ -100,17 +105,36 @@ func TestFleetRunsThroughCoordinatorByteIdentical(t *testing.T) {
 		Source: IndexJobs(jobs), PollEvery: 5 * time.Millisecond,
 		ExitWhenDrained: true, Logf: t.Logf,
 	})
+	submitted := &submitSignal{Transport: transport, acked: make(chan struct{})}
 	done := make(chan error, 1)
-	go func() { done <- w.Run() }()
+	testDone := make(chan struct{})
+	t.Cleanup(func() { close(testDone) })
+	go func() {
+		select {
+		case <-submitted.acked:
+			done <- w.Run()
+		case <-testDone:
+		}
+	}()
 
 	fleetStore := testStore(t)
+	var degraded atomic.Bool
 	fleet := &Fleet{
-		Client: &Client{T: transport}, Fallback: sweep.Runner{Workers: 1},
-		Store: fleetStore, PollEvery: 5 * time.Millisecond, Logf: t.Logf,
+		Client: &Client{T: submitted}, Fallback: sweep.Runner{Workers: 1},
+		Store: fleetStore, PollEvery: 5 * time.Millisecond, Timeout: 30 * time.Second,
+		Logf: func(format string, args ...any) {
+			if strings.Contains(format, "DEGRADED") {
+				degraded.Store(true)
+			}
+			t.Logf(format, args...)
+		},
 	}
 	results := fleet.Run(jobs)
 	if err := sweep.FirstError(results); err != nil {
 		t.Fatalf("fleet run failed: %v", err)
+	}
+	if degraded.Load() {
+		t.Fatal("fleet run downgraded to the in-process runner; the worker never ran the jobs")
 	}
 	for i := range jobs {
 		if results[i].Record.Fingerprint != jobs[i].Fingerprint {
@@ -130,4 +154,49 @@ func TestFleetRunsThroughCoordinatorByteIdentical(t *testing.T) {
 			return false
 		}
 	})
+}
+
+// submitSignal closes acked after the first successful submit through it.
+type submitSignal struct {
+	Transport
+	once  sync.Once
+	acked chan struct{}
+}
+
+func (s *submitSignal) Call(path string, req, resp any) error {
+	err := s.Transport.Call(path, req, resp)
+	if err == nil && path == "/api/sweepd/submit" {
+		s.once.Do(func() { close(s.acked) })
+	}
+	return err
+}
+
+func TestFleetFallsBackWhenNoWorkerDrainsTheQueue(t *testing.T) {
+	// A reachable coordinator with no worker: the run must hit its
+	// deadline and finish in process instead of polling forever.
+	c, err := NewCoordinator(CoordConfig{Store: testStore(t), Seed: 3,
+		LeaseTTL: 5 * time.Second, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var degraded atomic.Bool
+	fleet := &Fleet{
+		Client: &Client{T: &coordTransport{c: c}}, Fallback: sweep.Runner{Workers: 1},
+		Store: testStore(t), PollEvery: time.Millisecond, Timeout: 50 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			if strings.Contains(format, "exceeded") {
+				degraded.Store(true)
+			}
+		},
+	}
+	results := fleet.Run([]sweep.Job{synthJob("g", "a", 100)})
+	if err := sweep.FirstError(results); err != nil {
+		t.Fatalf("fallback run failed: %v", err)
+	}
+	if results[0].Record.Cycles != 100 {
+		t.Fatalf("fallback result: %+v", results[0])
+	}
+	if !degraded.Load() {
+		t.Fatal("the timeout downgrade was not logged")
+	}
 }

@@ -136,9 +136,12 @@ const (
 type Set = ds.Set
 
 // NewHierarchy builds the behavioral cache model for the given thread count
-// with the paper's platform parameters.
+// with the paper's platform parameters. It is safe for concurrent use:
+// every method takes one mutex, so one goroutine per simulated thread may
+// drive it. Virtual time is per thread, so the lock never distorts
+// throughput.
 func NewHierarchy(threads int) *Hierarchy {
-	return memsim.New(memsim.DefaultConfig(threads))
+	return memsim.NewShared(memsim.DefaultConfig(threads))
 }
 
 // NewAllocator starts a simulated persistent heap at base.

@@ -118,10 +118,11 @@ func run() int {
 		byToken[f.Token] = f
 	}
 	want := map[string]bool{}
+	all := false
 	for _, tok := range strings.Split(*fig, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "all" {
-			want["all"] = true
+			all = true
 			continue
 		}
 		if _, ok := byToken[tok]; !ok {
@@ -130,16 +131,17 @@ func run() int {
 		}
 		want[tok] = true
 	}
+	if all {
+		want = nil
+	}
 
 	var selected []bench.Figure
-	var allJobs []sweep.Job
 	for _, f := range bench.Figures() {
-		if !want["all"] && !want[f.Token] {
-			continue
+		if want == nil || want[f.Token] {
+			selected = append(selected, f)
 		}
-		selected = append(selected, f)
-		allJobs = append(allJobs, f.Build(*quick)...)
 	}
+	allJobs := bench.FigureJobs(*quick, want)
 
 	var store *sweep.Store
 	if *out != "" {

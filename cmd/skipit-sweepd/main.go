@@ -170,7 +170,7 @@ func runWorker(fleetURL, name string, quick bool, jobTimeout time.Duration, exit
 	w := sweepd.NewWorker(sweepd.WorkerConfig{
 		Name:            name,
 		Client:          &sweepd.Client{T: transport},
-		Source:          sweepd.IndexJobs(bench.FigureJobs(quick, nil)),
+		Source:          sweepd.PerSweepJobs(func() []sweep.Job { return bench.FigureJobs(quick, nil) }),
 		JobTimeout:      jobTimeout,
 		ExitWhenDrained: exitDrained,
 		Logf:            logf,

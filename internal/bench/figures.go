@@ -17,7 +17,10 @@ type Figure struct {
 	Title string
 	Note  string // paper anchor, printed under the title
 	Mops  bool   // report Derived["mops"] instead of cycles
-	Build func(quick bool) []sweep.Job
+	// build emits the figure's jobs. Jobs that start from a shared §7.4
+	// prefill register it in warm, the job list's prefill table. FigureJobs
+	// is the one caller, so every list gets its own table.
+	build func(quick bool, warm *prefillTable) []sweep.Job
 }
 
 // Figures lists the evaluation's sections in figure order. Job builders read
@@ -28,48 +31,48 @@ func Figures() []Figure {
 		{Token: "9", Group: "fig09",
 			Title: "Figure 9 — CBO.X latency vs writeback size and thread count (cycles)",
 			Note:  "paper anchors: 1 line ~100 cy; 32 KiB ~7460 cy; 8 threads ~7.2x faster",
-			Build: func(bool) []sweep.Job { return Fig9Jobs("fig09", false) }},
+			build: func(bool, *prefillTable) []sweep.Job { return Fig9Jobs("fig09", false) }},
 		{Token: "10", Group: "fig10",
 			Title: "Figure 10 — write, 10x CBO.X, fence, re-read (cycles)",
 			Note:  "paper: re-read after CBO.CLEAN ~2x faster than after CBO.FLUSH",
-			Build: func(bool) []sweep.Job { return Fig10Jobs(ThreadCounts) }},
+			build: func(bool, *prefillTable) []sweep.Job { return Fig10Jobs(ThreadCounts) }},
 		{Token: "11", Group: "fig11",
 			Title: "Figure 11 — comparative writeback latency, 1 thread (cycles)",
-			Build: func(bool) []sweep.Job { return ComparativeJobs("fig11", 1) }},
+			build: func(bool, *prefillTable) []sweep.Job { return ComparativeJobs("fig11", 1) }},
 		{Token: "12", Group: "fig12",
 			Title: "Figure 12 — comparative writeback latency, 8 threads (cycles)",
-			Build: func(bool) []sweep.Job { return ComparativeJobs("fig12", 8) }},
+			build: func(bool, *prefillTable) []sweep.Job { return ComparativeJobs("fig12", 8) }},
 		{Token: "13", Group: "fig13",
 			Title: "Figure 13 — naive vs Skip It, 10 redundant CBO.X per line (cycles)",
 			Note:  "paper: Skip It 15-30% faster (CBO.CLEAN variant; see EXPERIMENTS.md)",
-			Build: func(bool) []sweep.Job { return Fig13Jobs(ThreadCounts, 10) }},
+			build: func(bool, *prefillTable) []sweep.Job { return Fig13Jobs(ThreadCounts, 10) }},
 		{Token: "14", Group: "fig14", Mops: true,
 			Title: "Figure 14 — §7.4 throughput, 5% updates, 2 threads (Mops/s)",
 			Note:  "paper: Skip It >= FliT variants; link-and-persist ahead on automatic list/hash",
-			Build: func(bool) []sweep.Job { return Fig14Jobs() }},
+			build: func(_ bool, warm *prefillTable) []sweep.Job { return Fig14Jobs(warm) }},
 		{Token: "15", Group: "fig15", Mops: true,
 			Title: "Figure 15 — throughput vs update percentage, automatic algorithm (Mops/s)",
-			Build: func(quick bool) []sweep.Job {
+			build: func(quick bool, warm *prefillTable) []sweep.Job {
 				pcts := []int{0, 5, 10, 20, 50, 100}
 				if quick {
 					pcts = []int{0, 5, 20, 50}
 				}
-				return Fig15Jobs(pcts)
+				return Fig15Jobs(warm, pcts)
 			}},
 		{Token: "16", Group: "fig16", Mops: true,
 			Title: "Figure 16 — BST (10k keys) throughput vs FliT hash-table size (Mops/s)",
 			Note:  "paper: throughput is sensitive to the table size on the small-cache platform",
-			Build: func(quick bool) []sweep.Job {
+			build: func(quick bool, warm *prefillTable) []sweep.Job {
 				sizes := []uint64{1 << 6, 1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20}
 				if quick {
 					sizes = []uint64{1 << 6, 1 << 12, 1 << 16, 1 << 20}
 				}
-				return Fig16Jobs(sizes)
+				return Fig16Jobs(warm, sizes)
 			}},
 		{Token: "ablations", Group: "ablations",
 			Title: "Ablations — §5 design choices (cycles)",
 			Note:  "widened data array, FSHR count, coalescing, flush-queue depth",
-			Build: func(bool) []sweep.Job { return AblationJobs() }},
+			build: func(bool, *prefillTable) []sweep.Job { return AblationJobs() }},
 	}
 }
 
@@ -85,14 +88,17 @@ func SetQuick() {
 }
 
 // FigureJobs builds every job of the selected figures (nil tokens = all), in
-// figure order — the canonical flat job list a worker indexes.
+// figure order — the canonical flat job list a worker indexes. The list's
+// Figs 14–16 jobs share one prefill table, so each distinct §7.4 prefill
+// runs through the hierarchy once per list (see prefillTable).
 func FigureJobs(quick bool, tokens map[string]bool) []sweep.Job {
+	warm := newPrefillTable()
 	var jobs []sweep.Job
 	for _, f := range Figures() {
 		if tokens != nil && !tokens[f.Token] {
 			continue
 		}
-		jobs = append(jobs, f.Build(quick)...)
+		jobs = append(jobs, f.build(quick, warm)...)
 	}
 	return jobs
 }

@@ -195,29 +195,56 @@ func persistFingerprint(structure string, mode persist.Mode, kind PolicyKind, up
 	})
 }
 
-// persistJob wraps one RunPersistConfig point. The gated metric is the
-// slowest thread's virtual cycle count; throughput rides along in Derived.
-func persistJob(group, name, series, x, structure string, mode persist.Mode, kind PolicyKind, updatePct int, flitTable uint64) sweep.Job {
+// prefillKey identifies a §7.4 prefill: the inputs of persistFingerprint
+// minus the measured phase's (update rate and operation count). The
+// hierarchy's config follows from threads.
+type prefillKey struct {
+	structure                    string
+	mode                         persist.Mode
+	kind                         PolicyKind
+	flitTable                    uint64
+	threads                      int
+	listKeys, hashKeys, treeKeys uint64
+	hashBuckets                  int
+}
+
+func newPrefillKey(structure string, mode persist.Mode, kind PolicyKind, flitTable uint64) prefillKey {
+	return prefillKey{structure, mode, kind, flitTable, PersistThreads, ListKeys, HashKeys, TreeKeys, HashBuckets}
+}
+
+// persistJob wraps one RunPersistConfig point, sharing its prefill and row
+// with the other jobs of warm's list. The gated
+// metric is the slowest thread's virtual cycle count; throughput rides
+// along in Derived.
+func persistJob(warm *prefillTable, group, name, series, x, structure string, mode persist.Mode, kind PolicyKind, updatePct int, flitTable uint64) sweep.Job {
+	fp := persistFingerprint(structure, mode, kind, updatePct, flitTable)
+	warmKey := newPrefillKey(structure, mode, kind, flitTable)
+	warm.expect(warmKey, fp)
 	return sweep.Job{
 		Group: group, Name: name, Series: series, X: x,
-		Fingerprint: persistFingerprint(structure, mode, kind, updatePct, flitTable),
+		Fingerprint: fp,
 		Run: func(sweep.Sink) (sweep.Outcome, error) {
-			row := RunPersistConfig(structure, mode, kind, updatePct, flitTable)
-			return sweep.Outcome{Cycles: row.Cycles, Reps: 1, Derived: map[string]float64{
-				"mops": row.Mops, "flushes": float64(row.Flushes), "elided": float64(row.Elided),
-				"update_pct": float64(updatePct),
-			}}, nil
+			return persistOutcome(warm.run(warmKey, fp, structure, mode, kind, updatePct, flitTable)), nil
 		},
 	}
 }
 
+// persistOutcome is the record a §7.4 row becomes.
+func persistOutcome(row PersistRow) sweep.Outcome {
+	return sweep.Outcome{Cycles: row.Cycles, Reps: 1, Derived: map[string]float64{
+		"mops": row.Mops, "flushes": float64(row.Flushes), "elided": float64(row.Elided),
+		"update_pct": float64(row.UpdatePct),
+	}}
+}
+
 // Fig14Jobs emits the Figure 14 grid: every structure under every
 // persistence algorithm and elision scheme at 5% updates, plus the
-// non-persistent baseline per structure.
-func Fig14Jobs() []sweep.Job {
+// non-persistent baseline per structure. The jobs share prefills through
+// warm.
+func Fig14Jobs(warm *prefillTable) []sweep.Job {
 	var jobs []sweep.Job
 	for _, structure := range Structures() {
-		jobs = append(jobs, persistJob("fig14",
+		jobs = append(jobs, persistJob(warm, "fig14",
 			structure+"/non-persistent", structure+"-"+persist.Manual.String(), PolicyNone.String(),
 			structure, persist.Manual, PolicyNone, 5, FliTDefaultTable))
 		for _, mode := range persist.Modes() {
@@ -227,7 +254,7 @@ func Fig14Jobs() []sweep.Job {
 					// BST — the algorithm owns the pointer bits.
 					continue
 				}
-				jobs = append(jobs, persistJob("fig14",
+				jobs = append(jobs, persistJob(warm, "fig14",
 					fmt.Sprintf("%s/%s/%s", structure, mode, kind),
 					structure+"-"+mode.String(), kind.String(),
 					structure, mode, kind, 5, FliTDefaultTable))
@@ -238,8 +265,8 @@ func Fig14Jobs() []sweep.Job {
 }
 
 // Fig15Jobs emits the Figure 15 grid: throughput across update percentages
-// under the automatic persistence algorithm.
-func Fig15Jobs(updatePcts []int) []sweep.Job {
+// under the automatic persistence algorithm, sharing prefills through warm.
+func Fig15Jobs(warm *prefillTable, updatePcts []int) []sweep.Job {
 	var jobs []sweep.Job
 	for _, structure := range Structures() {
 		for _, kind := range PolicyKinds() {
@@ -247,7 +274,7 @@ func Fig15Jobs(updatePcts []int) []sweep.Job {
 				continue
 			}
 			for _, pct := range updatePcts {
-				jobs = append(jobs, persistJob("fig15",
+				jobs = append(jobs, persistJob(warm, "fig15",
 					fmt.Sprintf("%s/%s/upd%d", structure, kind, pct),
 					structure+"-"+kind.String(), fmt.Sprint(pct),
 					structure, persist.Automatic, kind, pct, FliTDefaultTable))
@@ -258,11 +285,11 @@ func Fig15Jobs(updatePcts []int) []sweep.Job {
 }
 
 // Fig16Jobs emits the Figure 16 sensitivity sweep: the BST under FliT with
-// hash tables from tiny to huge.
-func Fig16Jobs(tableSizes []uint64) []sweep.Job {
+// hash tables from tiny to huge, sharing prefills through warm.
+func Fig16Jobs(warm *prefillTable, tableSizes []uint64) []sweep.Job {
 	var jobs []sweep.Job
 	for _, size := range tableSizes {
-		jobs = append(jobs, persistJob("fig16",
+		jobs = append(jobs, persistJob(warm, "fig16",
 			fmt.Sprintf("flit-table%d", size), "flit-hash", fmt.Sprint(size),
 			ds.NameBST, persist.Automatic, PolicyFliTHash, 5, size))
 	}

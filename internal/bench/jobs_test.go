@@ -97,7 +97,7 @@ func TestPersistConfigDeterministic(t *testing.T) {
 // a derived metric.
 func TestPersistJobOutcome(t *testing.T) {
 	small(t)
-	jobs := Fig16Jobs([]uint64{64})
+	jobs := Fig16Jobs(newPrefillTable(), []uint64{64})
 	results := sweep.Runner{}.Run(jobs)
 	if err := sweep.FirstError(results); err != nil {
 		t.Fatal(err)
@@ -118,9 +118,9 @@ func TestJobIdentityInvariants(t *testing.T) {
 	jobs = append(jobs, ComparativeJobs("fig11", 1)...)
 	jobs = append(jobs, ComparativeJobs("fig12", 8)...)
 	jobs = append(jobs, Fig13Jobs(ThreadCounts, 10)...)
-	jobs = append(jobs, Fig14Jobs()...)
-	jobs = append(jobs, Fig15Jobs([]int{0, 50})...)
-	jobs = append(jobs, Fig16Jobs([]uint64{64, 4096})...)
+	jobs = append(jobs, Fig14Jobs(newPrefillTable())...)
+	jobs = append(jobs, Fig15Jobs(newPrefillTable(), []int{0, 50})...)
+	jobs = append(jobs, Fig16Jobs(newPrefillTable(), []uint64{64, 4096})...)
 	jobs = append(jobs, AblationJobs()...)
 	seen := map[string]bool{}
 	for _, j := range jobs {

@@ -94,7 +94,7 @@ func BenchmarkStep(b *testing.B) {
 // preallocated slot.
 func BenchmarkStepRecorder(b *testing.B) {
 	s := sim.New(sim.DefaultConfig(1))
-	s.SetFastForward(false)               // measure the honest per-cycle cost
+	s.SetFastForward(false) // measure the honest per-cycle cost
 	s.EnableFlightRecorder(64)
 	runSteadyState(s, 2*len(steadyProgs)) // warm the pool and DRAM backing store
 	b.ReportAllocs()

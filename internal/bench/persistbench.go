@@ -92,60 +92,92 @@ func RunPersistConfig(structure string, mode persist.Mode, kind PolicyKind, upda
 
 // runConfig measures one configuration and returns its throughput row.
 func runConfig(structure string, mode persist.Mode, kind PolicyKind, updatePct int, flitTable uint64) PersistRow {
-	h := memsim.New(memsim.DefaultConfig(PersistThreads))
-	alloc := memsim.NewAllocator(1 << 20)
+	s := newPersistSystem(structure, mode, kind, flitTable, false)
+	s.prefill()
+	s.h.ResetClocks()
+	return s.measure(updatePct)
+}
 
-	var pol persist.Policy
+// persistSystem is one configuration's hierarchy, policy and structure.
+type persistSystem struct {
+	structure string
+	mode      persist.Mode
+	kind      PolicyKind
+	h         *memsim.Hierarchy
+	alloc     *memsim.Allocator
+	pol       persist.Policy
+	env       *persist.Env // the structure's environment
+	set       ds.Set
+	keyRange  uint64
+}
+
+// newPersistSystem builds an empty structure of one configuration. With
+// replay, the structure runs under a persist.Discard policy with the real
+// policy's NodePad, so a prefill rebuilds the Go-side structure without
+// touching the hierarchy; warmStart then swaps in the real policy.
+func newPersistSystem(structure string, mode persist.Mode, kind PolicyKind, flitTable uint64, replay bool) *persistSystem {
+	s := &persistSystem{
+		structure: structure, mode: mode, kind: kind,
+		h:     memsim.New(memsim.DefaultConfig(PersistThreads)),
+		alloc: memsim.NewAllocator(1 << 20),
+	}
 	switch kind {
 	case PolicyPlain, PolicyNone:
-		pol = persist.NewPlain(h, false)
+		s.pol = persist.NewPlain(s.h, false)
 	case PolicySkipIt:
-		pol = persist.NewSkipIt(h, false)
+		s.pol = persist.NewSkipIt(s.h, false)
 	case PolicyFliTAdjacent:
-		pol = persist.NewFliT(h, true, 0, 0, false)
+		s.pol = persist.NewFliT(s.h, true, 0, 0, false)
 	case PolicyFliTHash:
-		base := alloc.Alloc(flitTable * 8)
-		pol = persist.NewFliT(h, false, flitTable, base, false)
+		base := s.alloc.Alloc(flitTable * 8)
+		s.pol = persist.NewFliT(s.h, false, flitTable, base, false)
 	case PolicyLinkAndPersist:
-		pol = persist.NewLinkAndPersist(h, false)
+		s.pol = persist.NewLinkAndPersist(s.h, false)
 	}
-	env := &persist.Env{Pol: pol, Mode: mode, NonPersistent: kind == PolicyNone}
+	s.env = &persist.Env{Pol: s.pol, Mode: mode, NonPersistent: kind == PolicyNone}
+	if replay {
+		s.env.Pol = persist.Discard{Pad: s.pol.NodePad()}
+	}
 
-	var set ds.Set
-	var keyRange uint64
 	switch structure {
 	case ds.NameList:
-		set = ds.NewLinkedList(env, alloc)
-		keyRange = 2 * ListKeys
+		s.set = ds.NewLinkedList(s.env, s.alloc)
+		s.keyRange = 2 * ListKeys
 	case ds.NameHash:
-		set = ds.NewHashTable(env, alloc, HashBuckets)
-		keyRange = 2 * HashKeys
+		s.set = ds.NewHashTable(s.env, s.alloc, HashBuckets)
+		s.keyRange = 2 * HashKeys
 	case ds.NameBST:
-		set = ds.NewBST(env, alloc)
-		keyRange = 2 * TreeKeys
+		s.set = ds.NewBST(s.env, s.alloc)
+		s.keyRange = 2 * TreeKeys
 	case ds.NameSkiplist:
-		set = ds.NewSkiplist(env, alloc)
-		keyRange = 2 * TreeKeys
+		s.set = ds.NewSkiplist(s.env, s.alloc)
+		s.keyRange = 2 * TreeKeys
 	default:
 		panic("bench: unknown structure " + structure)
 	}
+	return s
+}
 
-	// Prefill to 50% occupancy of the key range, warming the caches.
+// prefill inserts seeded keys to 50% occupancy of the key range, warming
+// the caches.
+func (s *persistSystem) prefill() {
 	rng := rand.New(rand.NewSource(1))
-	target := int(keyRange / 2)
+	target := int(s.keyRange / 2)
 	for n := 0; n < target; {
-		if set.Insert(0, uint64(rng.Int63n(int64(keyRange)))+1) {
+		if s.set.Insert(0, uint64(rng.Int63n(int64(s.keyRange)))+1) {
 			n++
 		}
 	}
-	h.ResetClocks()
+}
 
-	// Measured phase: PersistThreads simulated threads, updatePct updates
-	// split evenly between inserts and deletes, the rest lookups (§7.4).
-	// Each thread keeps its own operation stream; the streams interleave
-	// round-robin one operation at a time, so contention on shared lines is
-	// exercised deterministically instead of depending on goroutine
-	// scheduling.
+// measure runs the measured phase from the current (warm) state.
+//
+// PersistThreads simulated threads run updatePct updates split evenly
+// between inserts and deletes, the rest lookups (§7.4). Each thread keeps
+// its own operation stream; the streams interleave round-robin one
+// operation at a time, so contention on shared lines is exercised
+// deterministically instead of depending on goroutine scheduling.
+func (s *persistSystem) measure(updatePct int) PersistRow {
 	rngs := make([]*rand.Rand, PersistThreads)
 	for tid := range rngs {
 		rngs[tid] = rand.New(rand.NewSource(int64(tid)*7919 + 13))
@@ -153,29 +185,29 @@ func runConfig(structure string, mode persist.Mode, kind PolicyKind, updatePct i
 	for i := 0; i < PersistOpsPerThr; i++ {
 		for tid := 0; tid < PersistThreads; tid++ {
 			r := rngs[tid]
-			key := uint64(r.Int63n(int64(keyRange))) + 1
+			key := uint64(r.Int63n(int64(s.keyRange))) + 1
 			roll := r.Intn(200)
 			switch {
 			case roll < updatePct:
-				set.Insert(tid, key)
+				s.set.Insert(tid, key)
 			case roll < 2*updatePct:
-				set.Delete(tid, key)
+				s.set.Delete(tid, key)
 			default:
-				set.Contains(tid, key)
+				s.set.Contains(tid, key)
 			}
 		}
 	}
 
-	secs := h.MaxSeconds()
+	secs := s.h.MaxSeconds()
 	totalOps := float64(PersistThreads * PersistOpsPerThr)
-	st := h.Stats()
+	st := s.h.Stats()
 	return PersistRow{
-		Structure: structure,
-		Mode:      mode,
-		Policy:    kind,
+		Structure: s.structure,
+		Mode:      s.mode,
+		Policy:    s.kind,
 		UpdatePct: updatePct,
 		Mops:      totalOps / secs / 1e6,
-		Cycles:    secs * h.Config().ClockMHz * 1e6,
+		Cycles:    secs * s.h.Config().ClockMHz * 1e6,
 		Flushes:   st.Flushes,
 		Elided:    st.FlushDropsL1,
 	}

@@ -363,3 +363,41 @@ func TestSkiplistHeightDistribution(t *testing.T) {
 		}
 	}
 }
+
+// Replaying a prefill under persist.Discard rebuilds the structure the real
+// prefill built: the structures never branch on what a policy does, so only
+// NodePad can steer them. Same NodePad, same allocator cursor (which also
+// pins the skiplist's tower heights) and same membership.
+func TestDiscardReplayMatchesRealPrefill(t *testing.T) {
+	for _, m := range makers() {
+		for _, mkPol := range []func(h *memsim.Hierarchy) persist.Policy{
+			func(h *memsim.Hierarchy) persist.Policy { return persist.NewSkipIt(h, false) },
+			func(h *memsim.Hierarchy) persist.Policy { return persist.NewFliT(h, true, 0, 0, false) },
+			func(h *memsim.Hierarchy) persist.Policy { return persist.NewLinkAndPersist(h, false) },
+		} {
+			pol := mkPol(memsim.New(memsim.DefaultConfig(1)))
+			t.Run(m.name+"/"+pol.Name(), func(t *testing.T) {
+				fullAlloc := memsim.NewAllocator(1 << 20)
+				full := m.mk(&persist.Env{Pol: pol, Mode: persist.Automatic}, fullAlloc)
+				replayAlloc := memsim.NewAllocator(1 << 20)
+				replay := m.mk(&persist.Env{Pol: persist.Discard{Pad: pol.NodePad()}, Mode: persist.Automatic}, replayAlloc)
+				const keyRange = 600
+				rng := rand.New(rand.NewSource(1))
+				for i := 0; i < 400; i++ {
+					key := uint64(rng.Intn(keyRange)) + 1
+					if a, b := full.Insert(0, key), replay.Insert(0, key); a != b {
+						t.Fatalf("Insert(%d) = %v under %s, %v under discard", key, a, pol.Name(), b)
+					}
+				}
+				if a, b := fullAlloc.Cursor(), replayAlloc.Cursor(); a != b {
+					t.Fatalf("allocator cursor %#x under %s, %#x under discard", a, pol.Name(), b)
+				}
+				for key := uint64(1); key <= keyRange; key++ {
+					if a, b := full.Contains(0, key), replay.Contains(0, key); a != b {
+						t.Fatalf("Contains(%d) = %v under %s, %v under discard", key, a, pol.Name(), b)
+					}
+				}
+			})
+		}
+	}
+}

@@ -17,6 +17,10 @@ func NewAllocator(base uint64) *Allocator {
 	return a
 }
 
+// Cursor returns the address the next allocation starts its search from.
+// Two allocators that served the same sequence of requests agree on it.
+func (a *Allocator) Cursor() uint64 { return a.next.Load() }
+
 // Alloc returns an 8-byte aligned address for an object of size bytes.
 // Objects never straddle a cache line unless larger than one: the allocator
 // pads to the next line when the object would cross a boundary, as real

@@ -26,6 +26,7 @@ package memsim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -516,10 +517,72 @@ func (h *Hierarchy) ResetClocks() {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 	}
+	h.resetClocks()
+}
+
+func (h *Hierarchy) resetClocks() {
 	for i := range h.clocks {
 		h.clocks[i] = 0
 	}
 	h.stats = Stats{}
+}
+
+// Contents is a copy of a hierarchy's cache contents: every way's tag,
+// dirty, skip and LRU state, and the LRU clock. It holds no clocks or
+// Stats. A Contents never changes once saved, so many goroutines may
+// restore one Contents into their own hierarchies at once.
+type Contents struct {
+	cfg     Config
+	l1Tags  []uint64
+	l1Dirty []bool
+	l1Skip  []bool
+	l1Used  []uint64
+	l2Tags  []uint64
+	l2Dirty []bool
+	l2Used  []uint64
+	tick    uint64
+}
+
+// SaveContents copies h's cache contents.
+func (h *Hierarchy) SaveContents() *Contents {
+	if h.mu != nil {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+	}
+	return &Contents{
+		cfg:     h.cfg,
+		l1Tags:  slices.Clone(h.l1Tags),
+		l1Dirty: slices.Clone(h.l1Dirty),
+		l1Skip:  slices.Clone(h.l1Skip),
+		l1Used:  slices.Clone(h.l1Used),
+		l2Tags:  slices.Clone(h.l2Tags),
+		l2Dirty: slices.Clone(h.l2Dirty),
+		l2Used:  slices.Clone(h.l2Used),
+		tick:    h.tick,
+	}
+}
+
+// RestoreContents replaces h's cache contents with c and, as ResetClocks
+// does, zeroes the virtual clocks and Stats. From there h behaves exactly
+// as the hierarchy c was saved from did after a ResetClocks. It panics if
+// c was saved from a hierarchy with a different Config.
+func (h *Hierarchy) RestoreContents(c *Contents) {
+	if h.mu != nil {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+	}
+	if c.cfg != h.cfg {
+		panic("memsim: RestoreContents from a hierarchy with a different config")
+	}
+	copy(h.l1Tags, c.l1Tags)
+	copy(h.l1Dirty, c.l1Dirty)
+	copy(h.l1Skip, c.l1Skip)
+	copy(h.l1Used, c.l1Used)
+	copy(h.l2Tags, c.l2Tags)
+	copy(h.l2Dirty, c.l2Dirty)
+	copy(h.l2Used, c.l2Used)
+	h.tick = c.tick
+	h.resetClocks()
 }
 
 func (h *Hierarchy) String() string {

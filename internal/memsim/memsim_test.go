@@ -537,3 +537,55 @@ func TestSharedHammer(t *testing.T) {
 		t.Fatalf("lost operations: %+v", st)
 	}
 }
+
+// A hierarchy restored from saved contents continues exactly as the one the
+// contents came from does after ResetClocks: the golden stream's ops give
+// the same Stats, Clocks and dirty lines on both. Two goroutines restore one
+// Contents at once (the race detector checks that restoring only reads it).
+func TestSaveRestoreRoundTrip(t *testing.T) {
+	for _, threads := range []int{2, 4} {
+		orig := New(DefaultConfig(threads))
+		goldenStream(orig, uint64(threads)*1000+7, 20000)
+		saved := orig.SaveContents()
+		orig.ResetClocks()
+		goldenStream(orig, uint64(threads)*1000+8, 20000)
+
+		copies := []*Hierarchy{New(DefaultConfig(threads)), NewShared(DefaultConfig(threads))}
+		var wg sync.WaitGroup
+		for _, h := range copies {
+			wg.Add(1)
+			go func(h *Hierarchy) {
+				defer wg.Done()
+				h.AddCycles(0, 99) // Restore zeroes clocks and Stats too.
+				h.RestoreContents(saved)
+				goldenStream(h, uint64(threads)*1000+8, 20000)
+			}(h)
+		}
+		wg.Wait()
+		for i, h := range copies {
+			if got, want := h.Stats(), orig.Stats(); got != want {
+				t.Errorf("threads=%d copy %d: stats\n got %+v\nwant %+v", threads, i, got, want)
+			}
+			for tid := 0; tid < threads; tid++ {
+				if got, want := h.Clock(tid), orig.Clock(tid); got != want {
+					t.Errorf("threads=%d copy %d: Clock(%d) = %v, want %v", threads, i, tid, got, want)
+				}
+			}
+			for _, a := range goldenProbe(h) {
+				if h.DirtyAnywhere(a) != orig.DirtyAnywhere(a) {
+					t.Errorf("threads=%d copy %d: DirtyAnywhere(%#x) differs", threads, i, a)
+				}
+			}
+		}
+	}
+}
+
+func TestRestoreRejectsOtherConfig(t *testing.T) {
+	saved := New(DefaultConfig(2)).SaveContents()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RestoreContents into a 4-thread hierarchy from a 2-thread one did not panic")
+		}
+	}()
+	New(DefaultConfig(4)).RestoreContents(saved)
+}

@@ -249,3 +249,41 @@ func TestEnvReadOnlyOpFences(t *testing.T) {
 		t.Fatal("manual mode must not fence read-only operations")
 	}
 }
+
+// Link-and-persist's pending marks survive a save and restore: the restored
+// policy flushes exactly the words the saved one would have.
+func TestLAPStateRoundTrip(t *testing.T) {
+	h := setup(t)
+	l := NewLinkAndPersist(h, false)
+	for i := uint64(0); i < 10; i++ {
+		l.Store(0, 0x1000+i*8)
+	}
+	l.Flush(0, 0x1000) // clears one mark
+	saved := SaveState(l)
+
+	h2 := setup(t)
+	l2 := NewLinkAndPersist(h2, false)
+	RestoreState(l2, saved)
+	for i := uint64(0); i < 12; i++ {
+		l.Flush(1, 0x1000+i*8)
+		l2.Flush(1, 0x1000+i*8)
+	}
+	if a, b := h.Stats().Flushes-1, h2.Stats().Flushes; a != b || b != 9 {
+		t.Fatalf("restored policy issued %d flushes, original %d (want 9)", b, a)
+	}
+}
+
+// FliT's counters are not saved: SaveState instead insists they are all
+// zero, as they are between the operations of a single-owner run.
+func TestSaveStateRejectsFliTStoreInFlight(t *testing.T) {
+	f := NewFliT(setup(t), true, 0, 0, false)
+	f.Store(0, 0x1000)
+	SaveState(f) // every counter is back to zero
+	f.counters[7].Add(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SaveState with a FliT counter raised did not panic")
+		}
+	}()
+	SaveState(f)
+}

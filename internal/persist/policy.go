@@ -101,6 +101,12 @@ type FliT struct {
 	counters []atomic.Int64
 }
 
+// adjacentCounters sizes FliT-adjacent's table of Go-side counters.
+const (
+	adjacentBits     = 16
+	adjacentCounters = 1 << adjacentBits
+)
+
 // NewFliT builds a FliT policy. For hash mode, tableEntries counters live at
 // tableBase in the simulated address space.
 func NewFliT(h *memsim.Hierarchy, adjacent bool, tableEntries uint64, tableBase uint64, clean bool) *FliT {
@@ -109,10 +115,16 @@ func NewFliT(h *memsim.Hierarchy, adjacent bool, tableEntries uint64, tableBase 
 	}
 	n := tableEntries
 	if adjacent {
-		// Adjacent counters are addressed by data address; the backing
-		// slice is still a table, sized generously and indexed by a
-		// collision-free-enough hash of the line address.
-		n = 1 << 22
+		// An adjacent counter's simulated address is its datum's
+		// (addr ^ 1<<40), so this table only picks the Go-side atomic
+		// behind it, by a 16-bit hash of the line address. Two lines
+		// sharing an atomic can only make a Flush see another line's
+		// in-flight store and flush needlessly; a single-owner run never
+		// has a store in flight at a Flush, so its results do not depend
+		// on the table's size. Concurrent callers on a shared hierarchy
+		// can see such spurious flushes, rarely; skipit's public
+		// constructor documents that.
+		n = adjacentCounters
 	}
 	return &FliT{
 		H:            h,
@@ -139,7 +151,7 @@ func (f *FliT) slot(addr uint64) (idx uint64, counterAddr uint64) {
 		// behavior as the datum, modeled as a shadow word in a
 		// parallel region so the data line itself stays clean after a
 		// flush.
-		return (line * 0x9E3779B97F4A7C15) >> 42, addr ^ (1 << 40)
+		return (line * 0x9E3779B97F4A7C15) >> (64 - adjacentBits), addr ^ (1 << 40)
 	}
 	idx = (line * 0x9E3779B97F4A7C15) % f.TableEntries
 	return idx, f.TableBase + idx*8
@@ -274,6 +286,20 @@ func (s *markSet) set(addr uint64) {
 	sh.mu.Lock()
 	sh.m[addr] = struct{}{}
 	sh.mu.Unlock()
+}
+
+// list returns every marked address, in no particular order.
+func (s *markSet) list() []uint64 {
+	var out []uint64
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for addr := range sh.m {
+			out = append(out, addr)
+		}
+		sh.mu.Unlock()
+	}
+	return out
 }
 
 func (s *markSet) testAndClear(addr uint64) bool {

@@ -53,6 +53,11 @@ type Job struct {
 	// Run performs the measurement. The sink may be nil. Run must be
 	// self-contained: it owns every simulator instance it creates and
 	// touches no shared mutable state, so jobs can run on any goroutine.
+	// One exception is allowed: write-once warm state owned by the job
+	// list (never a package global), published under a lock, whose
+	// contents depend only on its key. A job may start from such state if
+	// another job has published it, but never waits for it, and its result
+	// must be the same either way.
 	Run func(sink Sink) (Outcome, error)
 }
 

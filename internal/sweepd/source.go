@@ -27,3 +27,31 @@ func IndexJobs(jobs []sweep.Job) JobSource {
 	}
 	return ix
 }
+
+// PerSweepJobs is a JobSource over a job list that build makes afresh for
+// each sweep a long-lived worker serves. The list is built on the first
+// Resolve and dropped each time the coordinator reports the queue drained,
+// so state a list owns (bench's shared §7.4 prefills and rows) lives no
+// longer than the sweep that leased its jobs, and a later sweep measures
+// again. Sweeps whose jobs overlap in one queue share one list. Only the
+// Worker's Run loop may use it.
+func PerSweepJobs(build func() []sweep.Job) JobSource {
+	return &perSweepJobs{build: build}
+}
+
+type perSweepJobs struct {
+	build func() []sweep.Job
+	ix    JobSource // nil until the first Resolve after a drain
+}
+
+func (p *perSweepJobs) Resolve(group, name string) (sweep.Job, bool) {
+	if p.ix == nil {
+		p.ix = IndexJobs(p.build())
+	}
+	return p.ix.Resolve(group, name)
+}
+
+func (p *perSweepJobs) drained() { p.ix = nil }
+
+// drainer is a JobSource that drops per-sweep state when the queue drains.
+type drainer interface{ drained() }

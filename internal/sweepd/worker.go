@@ -19,7 +19,8 @@ type WorkerConfig struct {
 	// Client speaks the job API (wrap its transport in a FaultTransport to
 	// inject faults).
 	Client *Client
-	// Source resolves leased specs to runnable jobs. Required.
+	// Source resolves leased specs to runnable jobs. Required. A
+	// PerSweepJobs source is rebuilt after each drain.
 	Source JobSource
 	// PollEvery bounds the idle poll interval when the coordinator declines
 	// to suggest one. Default 500ms.
@@ -80,6 +81,9 @@ func (w *Worker) Run() error {
 		}
 		transportErrs = 0
 		if lease.Job == nil {
+			if d, ok := w.cfg.Source.(drainer); ok && lease.Drained {
+				d.drained()
+			}
 			if lease.Drained && w.cfg.ExitWhenDrained {
 				w.cfg.Logf("sweepd: worker %s: queue drained, exiting", w.cfg.Name)
 				return nil

@@ -154,7 +154,12 @@ func NewPlainPolicy(h *Hierarchy) Policy { return persist.NewPlain(h, false) }
 // writebacks are dropped in the L1 (§6).
 func NewSkipItPolicy(h *Hierarchy) Policy { return persist.NewSkipIt(h, false) }
 
-// NewFliTAdjacentPolicy returns FliT with per-object counters.
+// NewFliTAdjacentPolicy returns FliT with per-object counters. Each
+// counter's simulated address sits next to its datum, but the Go-side
+// counters behind them are hashed into 2^16 slots by line address. From one
+// goroutine that changes nothing; with several goroutines on one hierarchy,
+// a Flush can rarely see another line's in-flight store in a shared slot
+// and issue a flush that per-line counters would have skipped.
 func NewFliTAdjacentPolicy(h *Hierarchy) Policy {
 	return persist.NewFliT(h, true, 0, 0, false)
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math/rand"
 	"testing"
 
 	"skipit/internal/isa"
@@ -283,6 +284,67 @@ func benchmarkDense4(b *testing.B, parallel int) {
 
 func BenchmarkDense4Core(b *testing.B)         { benchmarkDense4(b, 0) }
 func BenchmarkDense4CoreParallel(b *testing.B) { benchmarkDense4(b, 4) }
+
+// nackHeavyProgs returns one seeded stream per core in the shape of the
+// flush-heavy traffic of §3.2/§5.3: loads (a fifth of them to the other
+// cores' hot lines, so probes nack the owner), stores, CBO.CLEAN bursts with
+// redundant cleans of one line, CBO.FLUSH and fences. Loads queue up behind
+// CBO.X and fences and replay their nacks (~1.8 per committed instruction),
+// so the ROB holds 48 or more of its 64 entries in ~80% of core-cycles —
+// the regime where the LSU's per-cycle work depends on how it walks the
+// ROB. Dense4Core never fills the ROB with blocked loads.
+func nackHeavyProgs(cores int, seed int64, n int) []*isa.Program {
+	const region, hot, line = 64 << 10, 1 << 10, 64
+	base := func(c int) uint64 { return uint64(c+1) << 24 }
+	progs := make([]*isa.Program, cores)
+	for c := range progs {
+		rng := rand.New(rand.NewSource(seed*7919 + int64(c)))
+		word := func(span uint64) uint64 { return base(c) + uint64(rng.Int63n(int64(span/8)))*8 }
+		cleaned := base(c)
+		b := isa.NewBuilder()
+		for b.Mark() < n {
+			switch roll := rng.Intn(20); {
+			case roll < 2:
+				other := (c + 1 + rng.Intn(cores-1)) % cores
+				b.Load(base(other) + uint64(rng.Int63n(hot/8))*8)
+			case roll < 9:
+				b.Load(word(region))
+			case roll < 15:
+				b.Store(word(region), rng.Uint64())
+			case roll < 17:
+				cleaned = word(region) &^ (line - 1)
+				b.CboClean(cleaned)
+			case roll < 18:
+				b.CboFlush(word(region) &^ (line - 1))
+			case roll < 19:
+				for i := 0; i < 4; i++ {
+					b.CboClean(cleaned)
+				}
+			default:
+				b.Fence()
+			}
+		}
+		b.Fence()
+		progs[c] = b.Build()
+	}
+	return progs
+}
+
+// BenchmarkNackHeavy4Core is the boom-layer benchmark for that regime: a
+// 4-core system, fast-forward at its default, running two rotating seeded
+// nack-heavy stream sets, reporting host ns per simulated cycle.
+func BenchmarkNackHeavy4Core(b *testing.B) {
+	rotation := [][]*isa.Program{nackHeavyProgs(4, 1, 4000), nackHeavyProgs(4, 2, 4000)}
+	s := sim.New(sim.DefaultConfig(4))
+	runDense(s, rotation, len(rotation)) // warm the pools and DRAM backing store
+	b.ReportAllocs()
+	b.ResetTimer()
+	cycles := int64(0)
+	for i := 0; i < b.N; i++ {
+		cycles += runDense(s, rotation, 1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+}
 
 // benchmarkRunFigure4 measures a real 4-thread Fig. 9 evaluation point end
 // to end through the sweep runner, serial versus parallel.

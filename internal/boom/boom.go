@@ -135,6 +135,19 @@ type Core struct {
 	// dispatch does not allocate.
 	freeEntries []*entry
 
+	// lineMask is the data cache's LineBytes-1, read once in New.
+	lineMask uint64
+	// older is the per-walk scratch list of the STQ entries a load can
+	// forward from or be blocked by (see noteOlder); older[:nOlder] is live.
+	// It has STQEntries slots, and the STQ never holds more. noted counts
+	// the ROB entries, from the head, already looked at for it.
+	older  []*entry
+	nOlder int
+	noted  int
+	// fenced is set once the walk has passed an unfinished fence: every
+	// younger load is blocked (§3.2).
+	fenced bool
+
 	// prevTick is the cycle of the previous Tick. With the fast-forward
 	// clock the gap to the current tick can exceed one cycle; the skipped
 	// cycles are provably state-frozen, so per-cycle stall counters add the
@@ -160,7 +173,14 @@ func New(cfg Config, id int, dc *l1.DCache) *Core {
 		reg = metrics.NewRegistry()
 	}
 	name := fmt.Sprintf("core[%d]", id)
-	return &Core{cfg: cfg, id: id, dc: dc, ctr: newCoreCounters(reg, name)}
+	return &Core{
+		cfg:      cfg,
+		id:       id,
+		dc:       dc,
+		ctr:      newCoreCounters(reg, name),
+		lineMask: dc.Config().LineBytes - 1,
+		older:    make([]*entry, cfg.STQEntries),
+	}
 }
 
 // ID returns the core's index.
@@ -297,31 +317,42 @@ func (c *Core) dispatch(now int64) {
 
 // issue fires ready requests into the data cache: any number of ready loads
 // plus the in-order STQ head, bounded by MemWidth and the cache's accept
-// width.
+// width. It walks the ROB once, oldest to youngest, judging each waiting
+// load against the older STQ entries collected on the way (judgeLoad). That
+// is exact because no STQ entry changes state during the walk: the STQ head
+// acts when the walk reaches it, before any younger load is judged, and the
+// loads after it change only their own state.
 func (c *Core) issue(now int64) {
 	fired := 0
-
-	// The oldest unfinished STQ entry fires only from the ROB head
-	// position: every older instruction must already be done (§3.2).
-	if e := c.stqHead(); e != nil {
-		switch {
-		case e.instr.Op == isa.OpFence:
-			c.tryCompleteFence(now, e)
-		case e.state == esWaiting && now >= e.nextTryAt:
-			if c.fire(now, e) {
-				fired++
+	c.resetOlder()
+	findHead := true
+	for i, e := range c.rob {
+		if findHead && e.state != esDone {
+			findHead = false
+			// The oldest unfinished entry is the ROB head in effect; an STQ
+			// entry fires only from there, so STQ requests run in program
+			// order (§3.2).
+			if e.instr.Op.IsStoreQueue() {
+				switch {
+				case e.instr.Op == isa.OpFence:
+					c.tryCompleteFence(now, e)
+				case e.state == esWaiting && now >= e.nextTryAt:
+					if c.fire(now, e) {
+						fired++
+					}
+				}
 			}
-		}
-	}
-
-	for _, e := range c.rob {
-		if fired >= c.cfg.MemWidth {
-			return
 		}
 		if e.instr.Op != isa.OpLoad || e.state != esWaiting || now < e.nextTryAt {
 			continue
 		}
-		if v, forwarded, blocked := c.loadForward(e); blocked {
+		if fired >= c.cfg.MemWidth {
+			return
+		}
+		if v, forwarded, blocked := c.judgeLoad(i); blocked {
+			if c.fenced {
+				return // every younger load is blocked too
+			}
 			continue
 		} else if forwarded {
 			e.state = esDone
@@ -333,21 +364,6 @@ func (c *Core) issue(now int64) {
 			fired++
 		}
 	}
-}
-
-// stqHead returns the oldest unfinished STQ entry provided every older
-// instruction is done — i.e. the ROB head effectively points at it (§3.2).
-func (c *Core) stqHead() *entry {
-	for _, e := range c.rob {
-		if e.state == esDone {
-			continue
-		}
-		if e.instr.Op.IsStoreQueue() {
-			return e
-		}
-		return nil // an older load is still in flight
-	}
-	return nil
 }
 
 // tryCompleteFence completes a fence when all older work is done (implied by
@@ -381,25 +397,56 @@ func (c *Core) tryCompleteFence(now int64, e *entry) {
 	}
 }
 
-// loadForward checks the older STQ entries for the §3.2 forwarding and
-// dependency rules. It returns the forwarded value, whether forwarding
-// happened, and whether the load is blocked.
-func (c *Core) loadForward(e *entry) (val uint64, forwarded, blocked bool) {
+// resetOlder empties the scratch list before a ROB walk.
+func (c *Core) resetOlder() {
+	c.nOlder = 0
+	c.noted = 0
+	c.fenced = false
+}
+
+// noteOlder records STQ entry o, met in an oldest-to-youngest ROB walk, for
+// the loads younger than it. Only what can change a load's fate is kept:
+// every store and AMO, each unfinished CBO.X, and whether an unfinished
+// fence has been passed. A done CBO.X or fence and a CFLUSH.D.L1 affect no
+// load.
+func (c *Core) noteOlder(o *entry) {
+	switch o.instr.Op {
+	case isa.OpFence:
+		if o.state != esDone {
+			c.fenced = true
+		}
+	case isa.OpStore, isa.OpAmoAdd, isa.OpAmoSwap:
+		c.older[c.nOlder] = o
+		c.nOlder++
+	case isa.OpCboClean, isa.OpCboFlush:
+		if o.state != esDone {
+			c.older[c.nOlder] = o
+			c.nOlder++
+		}
+	}
+}
+
+// judgeLoad applies the §3.2 forwarding and dependency rules to the load at
+// ROB index i. A walk calls it for loads in ROB order; it first notes the
+// STQ entries between the previous judged load and this one, so entries
+// younger than the last judged load are never looked at. It returns the
+// forwarded value, whether forwarding happened, and whether the load is
+// blocked.
+func (c *Core) judgeLoad(i int) (val uint64, forwarded, blocked bool) {
+	for ; c.noted < i && !c.fenced; c.noted++ {
+		if o := c.rob[c.noted]; o.instr.Op.IsStoreQueue() {
+			c.noteOlder(o)
+		}
+	}
+	if c.fenced {
+		return 0, false, true
+	}
+	e := c.rob[i]
 	wordAddr := e.instr.Addr &^ 7
-	lineAddr := e.instr.Addr &^ (c.dc.Config().LineBytes - 1)
+	lineAddr := e.instr.Addr &^ c.lineMask
 	var fwd *entry
-	for _, o := range c.rob {
-		if o == e {
-			break
-		}
-		if !o.instr.Op.IsStoreQueue() {
-			continue
-		}
+	for _, o := range c.older[:c.nOlder] {
 		switch o.instr.Op {
-		case isa.OpFence:
-			if o.state != esDone {
-				return 0, false, true
-			}
 		case isa.OpStore:
 			if o.instr.Addr&^7 == wordAddr {
 				fwd = o
@@ -414,10 +461,10 @@ func (c *Core) loadForward(e *entry) (val uint64, forwarded, blocked bool) {
 				}
 				fwd = nil // read the post-AMO value from the cache
 			}
-		case isa.OpCboClean, isa.OpCboFlush:
-			// §5.3: loads dependent on a CBO.X proceed only after
-			// it is buffered (done).
-			if o.state != esDone && o.instr.Addr&^(c.dc.Config().LineBytes-1) == lineAddr {
+		default:
+			// An unfinished CBO.X (§5.3): loads dependent on it proceed
+			// only after it is buffered (done).
+			if o.instr.Addr&^c.lineMask == lineAddr {
 				return 0, false, true
 			}
 		}
@@ -492,9 +539,12 @@ func (c *Core) NextEvent(now int64) int64 {
 	if len(c.rob) > 0 && c.rob[0].state == esDone {
 		return now + 1 // commit retires from the head next cycle
 	}
+	// One walk, as in issue. The ROB head is not done (checked above), so
+	// it is the STQ head whenever it is an STQ entry.
 	next := tilelink.NoEvent
-	head := c.stqHead()
-	for _, e := range c.rob {
+	c.resetOlder()
+	for i, e := range c.rob {
+		isHead := i == 0 && e.instr.Op.IsStoreQueue()
 		switch e.state {
 		case esIssued:
 			// Waiting on the data cache; the cache reports that event.
@@ -502,17 +552,17 @@ func (c *Core) NextEvent(now int64) int64 {
 			// Inert unless at the ROB head (checked above).
 		case esWaiting:
 			if e.instr.Op == isa.OpFence {
-				if e != head {
+				if !isHead {
 					// Gated until every older instruction retires; the
 					// events completing those cover the wake-up.
-					continue
+					break
 				}
 				if e.stalling && c.dc.Flushing() {
 					// Stalling on the drain. Nothing younger can feed the
 					// flush unit past a waiting fence, so the stall ends
 					// only on a flush-unit/memory event; tryCompleteFence
 					// bulk-counts the cycles in between.
-					continue
+					break
 				}
 				// Completes, or latches its first stall count, next cycle.
 				return now + 1
@@ -521,19 +571,19 @@ func (c *Core) NextEvent(now int64) int64 {
 				if e.nextTryAt < next {
 					next = e.nextTryAt
 				}
-				continue
+				break
 			}
-			if e == head {
+			if isHead {
 				return now + 1 // the STQ head fires next cycle
 			}
 			if e.instr.Op == isa.OpLoad {
-				if _, _, blocked := c.loadForward(e); !blocked {
+				if _, _, blocked := c.judgeLoad(i); !blocked {
 					return now + 1 // fires (or forwards) next cycle
 				}
 				// Blocked by an older fence/AMO/CBO (§3.2); only that
 				// entry's completion unblocks it, and the events driving
 				// that completion are reported elsewhere.
-				continue
+				break
 			}
 			// A ready store/AMO/CBO behind the STQ head fires only once
 			// every older instruction is done; those events cover it.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -21,16 +22,57 @@ func ffWorkload() []*isa.Program {
 	return []*isa.Program{p0, p1}
 }
 
-// runWorkload runs the fixed workload on a fresh system with the given clock
-// mode and returns the system and its finish cycle.
-func runWorkload(t *testing.T, fastForward bool, sampleEvery int64) (*System, int64) {
+// nackHeavyWorkload is a seeded 4-core mix that keeps the ROB full of
+// waiting loads and replays nacks: loads, stores and AMOs to a few words
+// every core shares, CBO.CLEAN/FLUSH bursts to their lines, fences, and
+// private misses.
+func nackHeavyWorkload(seed int64) []*isa.Program {
+	const shared = 0x40000
+	progs := make([]*isa.Program, 4)
+	for c := range progs {
+		rng := rand.New(rand.NewSource(seed*31 + int64(c)))
+		private := uint64(c+1) << 22
+		word := func() uint64 { return shared + uint64(rng.Intn(6))*64 + uint64(rng.Intn(2))*8 }
+		b := isa.NewBuilder()
+		for b.Mark() < 1500 {
+			switch roll := rng.Intn(20); {
+			case roll < 7:
+				b.Load(word())
+			case roll < 9:
+				b.Store(word(), rng.Uint64())
+			case roll < 10:
+				b.AmoAdd(word(), uint64(rng.Intn(16)))
+			case roll < 11:
+				b.AmoSwap(word(), rng.Uint64())
+			case roll < 13:
+				line := word() &^ 63
+				for i := rng.Intn(3); i >= 0; i-- {
+					b.Cbo(line, rng.Intn(3) != 0)
+				}
+			case roll < 14:
+				b.Fence()
+			case roll < 18:
+				b.Load(private + uint64(rng.Intn(1<<13))*8)
+			default:
+				b.Store(private+uint64(rng.Intn(1<<13))*8, rng.Uint64())
+			}
+		}
+		b.Fence()
+		progs[c] = b.Build()
+	}
+	return progs
+}
+
+// runWorkload runs progs, one per core, on a fresh system with the given
+// clock mode and returns the system and its finish cycle.
+func runWorkload(t *testing.T, progs []*isa.Program, fastForward bool, sampleEvery int64) (*System, int64) {
 	t.Helper()
-	s := New(DefaultConfig(2))
+	s := New(DefaultConfig(len(progs)))
 	s.SetFastForward(fastForward)
 	if sampleEvery > 0 {
 		s.EnableSampling(sampleEvery)
 	}
-	cycle, err := s.Run(ffWorkload(), 1_000_000)
+	cycle, err := s.Run(progs, 5_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,55 +85,72 @@ func runWorkload(t *testing.T, fastForward bool, sampleEvery int64) (*System, in
 // TestFastForwardEquivalence: every observable — finish cycle, final clock,
 // every counter, every sampled series point — must be identical with the
 // next-event clock on and off. Only sim.skipped_cycles (the clock's own
-// odometer) may differ.
+// odometer) may differ. The idle-heavy workload exercises long skips; the
+// nack-heavy ones keep the ROB full of loads waiting behind fences, AMOs
+// and CBO.X, where the cores' NextEvent judges each waiting load.
 func TestFastForwardEquivalence(t *testing.T) {
-	sFF, cycFF := runWorkload(t, true, 100)
-	sSlow, cycSlow := runWorkload(t, false, 100)
+	for _, tc := range []struct {
+		name  string
+		progs []*isa.Program
+		nacks bool // the workload must replay data-cache nacks
+	}{
+		{"idle-heavy", ffWorkload(), false},
+		{"nack-heavy-1", nackHeavyWorkload(1), true},
+		{"nack-heavy-2", nackHeavyWorkload(2), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sFF, cycFF := runWorkload(t, tc.progs, true, 100)
+			sSlow, cycSlow := runWorkload(t, tc.progs, false, 100)
 
-	if cycFF != cycSlow {
-		t.Fatalf("finish cycle differs: ff=%d slow=%d", cycFF, cycSlow)
-	}
-	if sFF.Now() != sSlow.Now() {
-		t.Fatalf("clock differs: ff=%d slow=%d", sFF.Now(), sSlow.Now())
-	}
-	if sSlow.SkippedCycles() != 0 {
-		t.Fatalf("slow clock skipped %d cycles", sSlow.SkippedCycles())
-	}
-	if sFF.SkippedCycles() == 0 {
-		t.Fatal("fast-forward clock skipped nothing on an idle-heavy workload")
-	}
+			if cycFF != cycSlow {
+				t.Fatalf("finish cycle differs: ff=%d slow=%d", cycFF, cycSlow)
+			}
+			if sFF.Now() != sSlow.Now() {
+				t.Fatalf("clock differs: ff=%d slow=%d", sFF.Now(), sSlow.Now())
+			}
+			if sSlow.SkippedCycles() != 0 {
+				t.Fatalf("slow clock skipped %d cycles", sSlow.SkippedCycles())
+			}
+			if sFF.SkippedCycles() == 0 {
+				t.Fatal("fast-forward clock skipped nothing")
+			}
 
-	snapFF, snapSlow := sFF.Snapshot(), sSlow.Snapshot()
-	delete(snapFF.Counters, "sim.skipped_cycles")
-	delete(snapSlow.Counters, "sim.skipped_cycles")
-	if !reflect.DeepEqual(snapFF.Counters, snapSlow.Counters) {
-		for k, v := range snapFF.Counters {
-			if w := snapSlow.Counters[k]; v != w {
-				t.Errorf("counter %s: ff=%d slow=%d", k, v, w)
+			snapFF, snapSlow := sFF.Snapshot(), sSlow.Snapshot()
+			if tc.nacks && snapFF.Counters["core.nack_retries"] == 0 {
+				t.Fatal("workload replayed no nacks")
 			}
-		}
-		t.Fatal("counters diverged")
-	}
-	// Per-core timings (cycle-stamped per instruction) must match exactly.
-	for i := range sFF.Cores {
-		if !reflect.DeepEqual(sFF.Cores[i].Timings(), sSlow.Cores[i].Timings()) {
-			t.Fatalf("core %d timings diverged", i)
-		}
-	}
-	// The sampler must have fired at the same boundaries with the same
-	// values, except for the skipped-cycles odometer's own series.
-	ser := func(s *System) map[string][]uint64 {
-		out := map[string][]uint64{}
-		for _, sr := range s.Snapshot().Series {
-			if sr.Key == "sim.skipped_cycles" {
-				continue
+			delete(snapFF.Counters, "sim.skipped_cycles")
+			delete(snapSlow.Counters, "sim.skipped_cycles")
+			if !reflect.DeepEqual(snapFF.Counters, snapSlow.Counters) {
+				for k, v := range snapFF.Counters {
+					if w := snapSlow.Counters[k]; v != w {
+						t.Errorf("counter %s: ff=%d slow=%d", k, v, w)
+					}
+				}
+				t.Fatal("counters diverged")
 			}
-			out[sr.Key] = sr.Values
-		}
-		return out
-	}
-	if !reflect.DeepEqual(ser(sFF), ser(sSlow)) {
-		t.Fatal("sampled series diverged")
+			// Per-core timings (cycle-stamped per instruction) must match exactly.
+			for i := range sFF.Cores {
+				if !reflect.DeepEqual(sFF.Cores[i].Timings(), sSlow.Cores[i].Timings()) {
+					t.Fatalf("core %d timings diverged", i)
+				}
+			}
+			// The sampler must have fired at the same boundaries with the same
+			// values, except for the skipped-cycles odometer's own series.
+			ser := func(s *System) map[string][]uint64 {
+				out := map[string][]uint64{}
+				for _, sr := range s.Snapshot().Series {
+					if sr.Key == "sim.skipped_cycles" {
+						continue
+					}
+					out[sr.Key] = sr.Values
+				}
+				return out
+			}
+			if !reflect.DeepEqual(ser(sFF), ser(sSlow)) {
+				t.Fatal("sampled series diverged")
+			}
+		})
 	}
 }
 

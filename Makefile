@@ -15,11 +15,11 @@ race:
 
 # lint runs the stock vet suite plus skipit-vet, the project's own
 # go/analysis suite: the interprocedural analyzers (detflow, hotalloc,
-# shardiso, lockorder) plus determinism, poolown, nextevent, metricname and
-# staleignore. The ./... pattern covers internal/analysis and cmd/ too, so
-# the analyzers lint themselves. See internal/analysis/README.md for the
-# rules and the waiver syntax; pass `-cache DIR` to skipit-vet (as CI does)
-# to replay unchanged packages from the fact-store cache.
+# shardiso) plus determinism, poolown, nextevent, metricname and staleignore.
+# The ./... pattern covers internal/analysis and cmd/ too, so the analyzers
+# lint themselves. See internal/analysis/README.md for the rules and the
+# waiver syntax; pass `-cache DIR` to skipit-vet (as CI does) to replay
+# unchanged packages from the fact-store cache.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/skipit-vet ./...

@@ -35,10 +35,10 @@ func TestDedupAcrossConcatenatedArrays(t *testing.T) {
 	// absolute path under the workspace while the first is already relative —
 	// dedup happens after relativization, so they still collapse.
 	in := `[
-		{"file": "pkg/a.go", "line": 5, "col": 1, "analyzer": "lockorder", "message": "lock held across I/O"}
+		{"file": "pkg/a.go", "line": 5, "col": 1, "analyzer": "poolown", "message": "line used after release"}
 	]
 	[
-		{"file": "/repo/pkg/a.go", "line": 5, "col": 1, "analyzer": "lockorder", "message": "lock held across I/O"},
+		{"file": "/repo/pkg/a.go", "line": 5, "col": 1, "analyzer": "poolown", "message": "line used after release"},
 		{"file": "/repo/pkg/b.go", "line": 9, "col": 2, "analyzer": "shardiso", "message": "cross-shard write"}
 	]`
 	var out, errw strings.Builder

@@ -2,8 +2,8 @@
 // function declared in the package, the list of statically resolved calls
 // its body (including any function literals it encloses) makes. It is the
 // shared substrate of the interprocedural skipit-vet analyzers — detflow,
-// shardiso, lockorder and the interprocedural half of hotalloc all walk the
-// same summary graph and differ only in what they propagate along it.
+// shardiso and the interprocedural half of hotalloc all walk the same
+// summary graph and differ only in what they propagate along it.
 //
 // The resolution is deliberately conservative and purely static:
 //
@@ -36,7 +36,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "callsum",
 	Doc: "compute per-function static call summaries for the interprocedural skipit-vet analyzers\n\n" +
-		"Produces no diagnostics; detflow, shardiso, lockorder and hotalloc consume its result.",
+		"Produces no diagnostics; detflow, shardiso and hotalloc consume its result.",
 	Requires:   []*analysis.Analyzer{inspect.Analyzer},
 	ResultType: reflect.TypeOf((*Summaries)(nil)),
 	Run:        run,

@@ -30,15 +30,6 @@
 //     or writes to an io.Writer/strings.Builder. Map iteration order is
 //     deliberately randomized by the runtime, so each of these effects can
 //     differ run to run.
-//
-// Service-tier packages (-service; defaults to sweepd, introspect, sweep) are
-// always exempt, even when a fragment in -pkgs would match them: the sweep
-// coordinator, its workers and the introspection server live on the host
-// side of the determinism boundary, where wall clocks (lease deadlines,
-// heartbeats, backoff timers) and goroutines are the point, not a bug. The
-// exclusion wins over the inclusion so widening -pkgs can never silently
-// drag a service package under simulator rules — the boundary is the
-// simulator/service split, not the flag order.
 package determinism
 
 import (
@@ -68,12 +59,6 @@ var Analyzer = &analysis.Analyzer{
 // fragment rules.
 var pkgs = "internal/boom,internal/l1,internal/l2,internal/mem,internal/tilelink,internal/sim,internal/memsim,internal/linepool,internal/chaos,internal/detrand,internal/tlctest,internal/pdes"
 
-// service is the comma-separated list of import-path fragments that mark a
-// package as host-side service code (the sweepd coordinator/worker fleet,
-// the introspection server, the sweep runner). Matching packages are exempt
-// from the simulator rules regardless of -pkgs: the exclusion always wins.
-var service = "internal/sweepd,internal/introspect,internal/sweep"
-
 // schedulers is the comma-separated list of import-path fragments naming the
 // PDES scheduler packages — the only place a //skipit:parallel-scheduler
 // directive can waive the goroutine ban. The scheduler still lives under
@@ -83,15 +68,14 @@ var schedulers = "internal/pdes"
 
 func init() {
 	Analyzer.Flags.StringVar(&pkgs, "pkgs", pkgs, "comma-separated import-path fragments of deterministic simulator packages")
-	Analyzer.Flags.StringVar(&service, "service", service, "comma-separated import-path fragments of host-side service packages, always exempt (wins over -pkgs)")
 	Analyzer.Flags.StringVar(&schedulers, "schedulers", schedulers, "comma-separated import-path fragments of PDES scheduler packages where //skipit:parallel-scheduler may waive goroutines")
 }
 
 // matches reports whether path matches any fragment of the comma-separated
 // list: an exact match, a trailing path segment, or an interior path segment
 // (so fixture trees mirroring the real layout under testdata/src/ are
-// matched too). Fragment boundaries are whole segments — "internal/sweep"
-// does not match "internal/sweepd".
+// matched too). Fragment boundaries are whole segments — "internal/mem"
+// does not match "internal/memsim".
 func matches(path, list string) bool {
 	for _, frag := range strings.Split(list, ",") {
 		frag = strings.TrimSpace(frag)
@@ -106,12 +90,11 @@ func matches(path, list string) bool {
 }
 
 // InScope reports whether path is held to the simulator rules: listed in
-// -pkgs and not excluded as a -service package. Exported for detflow, which
-// shares the determinism analyzer's scope definition (including any
-// -determinism.pkgs/-determinism.service overrides) so the two rule sets can
-// never disagree about where the simulator/service boundary lies.
+// -pkgs. Exported for detflow, which shares the determinism analyzer's scope
+// definition (including any -determinism.pkgs override) so the two rule sets
+// can never disagree about where the simulator boundary lies.
 func InScope(path string) bool {
-	return matches(path, pkgs) && !matches(path, service)
+	return matches(path, pkgs)
 }
 
 // wallClockFuncs are the time package functions that read the host clock.

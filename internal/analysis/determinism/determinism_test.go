@@ -21,20 +21,3 @@ func TestDeterminismParallelScheduler(t *testing.T) {
 		antest.Dir(t, "pdescheck/internal/pdes"),
 		antest.Dir(t, "pdescheck/internal/l1"))
 }
-
-// TestDeterminismServiceBoundary proves the -service exclusion wins over
-// -pkgs: even with internal/sweepd explicitly added to the simulator list,
-// the sweepd fixture — wall clocks, goroutines, logged map ranges, and not
-// one want comment — must stay diagnostic-free, while the sim fixture in the
-// same run keeps every diagnostic it has under the default flags.
-func TestDeterminismServiceBoundary(t *testing.T) {
-	f := determinism.Analyzer.Flags.Lookup("pkgs")
-	orig := f.Value.String()
-	if err := f.Value.Set(orig + ",internal/sweepd"); err != nil {
-		t.Fatal(err)
-	}
-	defer f.Value.Set(orig) //nolint:errcheck
-	antest.Run(t, determinism.Analyzer,
-		antest.Dir(t, "internal/sweepd"),
-		antest.Dir(t, "internal/sim"))
-}

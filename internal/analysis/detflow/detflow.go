@@ -4,7 +4,7 @@
 //
 // The determinism analyzer is syntactic and per-function — it rejects a
 // wall-clock read *written inside* a simulator package, but a helper two
-// calls away in a service-tier package (where clocks are legal) that leaks
+// calls away in a host-side package (where clocks are legal) that leaks
 // host time back into `internal/sim` passes it silently. detflow closes that
 // gap with bottom-up function summaries:
 //
@@ -19,9 +19,9 @@
 //     source, so a diagnostic three packages away can still name the exact
 //     time.Now that caused it.
 //  3. Findings: a call into a tainted function from (a) a package in the
-//     determinism analyzer's simulator scope (same -pkgs/-service lists,
-//     service exclusion wins), or (b) a //skipit:hotpath function in any
-//     package. The diagnostic prints the witness chain.
+//     determinism analyzer's simulator scope (the same -pkgs list), or (b)
+//     a //skipit:hotpath function in any package. The diagnostic prints
+//     the witness chain.
 //
 // Sources whose lines carry a //skipit:ignore determinism or
 // //skipit:ignore detflow waiver do not taint: the human already certified

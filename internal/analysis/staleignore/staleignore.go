@@ -5,7 +5,7 @@
 // The waiver audit trail only works if every directive in the tree still
 // corresponds to a live, consciously-suppressed diagnostic. When the code
 // under a waiver is rewritten — the allocation removed, the clock read
-// deleted, the lock reordered — the directive rots: it documents a decision
+// deleted, the map range sorted — the directive rots: it documents a decision
 // about code that no longer exists, and it will silently swallow the NEXT
 // diagnostic that happens to land on its line. This analyzer requires every
 // other analyzer in the suite (so they have all run over the package by the
@@ -28,7 +28,6 @@ import (
 	"skipit/internal/analysis/determinism"
 	"skipit/internal/analysis/detflow"
 	"skipit/internal/analysis/hotalloc"
-	"skipit/internal/analysis/lockorder"
 	"skipit/internal/analysis/metricname"
 	"skipit/internal/analysis/nextevent"
 	"skipit/internal/analysis/poolown"
@@ -46,7 +45,6 @@ var Analyzer = &analysis.Analyzer{
 		detflow.Analyzer,
 		hotalloc.Analyzer,
 		shardiso.Analyzer,
-		lockorder.Analyzer,
 		poolown.Analyzer,
 		nextevent.Analyzer,
 		metricname.Analyzer,

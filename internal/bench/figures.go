@@ -6,11 +6,10 @@ import "skipit/internal/sweep"
 // its -fig selector token, result-store group, presentation metadata, and the
 // builder that decomposes it into fingerprinted sweep jobs.
 //
-// The table lives here — not in cmd/skipit-bench — because it is the shared
-// job vocabulary of every executor: the bench CLI builds jobs from it to run
-// (or submit to a fleet), and a sweepd worker builds the same table to
-// resolve leased job specs back to closures. Both sides compiling the same
-// builders is what makes the fingerprint interlock meaningful.
+// The table lives here — not in cmd/skipit-bench — because two drivers share
+// it: the bench CLI selects and renders figures from it, and perfbench's
+// figs-quick workload runs the quick job list it builds. Both go through
+// sweep.Runner, so both measure exactly the jobs the result store records.
 type Figure struct {
 	Token string // -fig selector ("9", "ablations")
 	Group string // result-store group / sidecar name ("fig09")
@@ -76,10 +75,10 @@ func Figures() []Figure {
 	}
 }
 
-// SetQuick shrinks the sweep knobs for a fast pass. Every executor in a
-// fleet must agree on this setting: the knobs feed the job fingerprints, so
-// a -quick client against full-size workers fails closed with
-// fingerprint-mismatch instead of mixing measurements.
+// SetQuick shrinks the sweep knobs for a fast pass. The knobs feed the job
+// fingerprints, so a quick run gated against a full-size baseline (or the
+// reverse) fails closed with fingerprint drift instead of mixing
+// measurements.
 func SetQuick() {
 	Reps = 1
 	Sizes = []uint64{64, 1024, 4096, 32768}
@@ -88,9 +87,9 @@ func SetQuick() {
 }
 
 // FigureJobs builds every job of the selected figures (nil tokens = all), in
-// figure order — the canonical flat job list a worker indexes. The list's
-// Figs 14–16 jobs share one prefill table, so each distinct §7.4 prefill
-// runs through the hierarchy once per list (see prefillTable).
+// figure order — the canonical flat job list. The list's Figs 14–16 jobs
+// share one prefill table, so each distinct §7.4 prefill runs through the
+// hierarchy once per list (see prefillTable).
 func FigureJobs(quick bool, tokens map[string]bool) []sweep.Job {
 	warm := newPrefillTable()
 	var jobs []sweep.Job

@@ -40,7 +40,6 @@ import (
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
-	mux *http.ServeMux
 
 	// snapJSON and promText hold the latest published snapshot, rendered
 	// once at publish time on the publisher's goroutine.
@@ -64,7 +63,6 @@ func New(addr string) (*Server, error) {
 	}
 	s := &Server{ln: ln, subs: make(map[chan []byte]struct{})}
 	mux := http.NewServeMux()
-	s.mux = mux
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/snapshot", s.handleSnapshot)
@@ -78,12 +76,6 @@ func New(addr string) (*Server, error) {
 
 // Addr returns the bound listen address ("127.0.0.1:6060").
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Handle mounts an additional handler on the server's mux, sharing the
-// listener and lifecycle. This is how service layers (the sweepd job API)
-// ride on the introspection server instead of opening a second port; pattern
-// must not collide with the built-in endpoints. Safe to call while serving.
-func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
 
 // AttachChromeTrace makes the tracer's in-progress document available at
 // /trace. The tracer stays owned by the caller (and its Close still writes

@@ -107,3 +107,50 @@ func TestStepGuardedRecoversPanics(t *testing.T) {
 		t.Fatal("panic report lacks a stack trace")
 	}
 }
+
+// A hang report decoded from its JSON (as a replayed chaos artifact is)
+// renders the same JSON again: no field is lost on the way.
+func TestHangReportJSONRoundTrip(t *testing.T) {
+	s := New(DefaultConfig(2))
+	s.EnableFlightRecorder(16)
+	s.Cores[0].SetProgram(isa.NewBuilder().Store(0x1000, 1).CboFlush(0x1000).Build())
+	s.Cores[1].SetProgram(isa.NewBuilder().Load(0x1000).Build())
+	for i := 0; i < 20; i++ {
+		s.Step()
+	}
+	r := s.buildHangReport("no-progress")
+	r.Window = 20
+	orig := r.JSON()
+	var back HangReport
+	if err := json.Unmarshal(orig, &back); err != nil {
+		t.Fatal(err)
+	}
+	if again := back.JSON(); string(again) != string(orig) {
+		t.Fatalf("report changed in a JSON round trip:\n%s\nvs\n%s", again, orig)
+	}
+	if back.Cycle != r.Cycle || len(back.Cores) != 2 || len(back.FlightRecorder) == 0 {
+		t.Fatalf("decoded report lacks sections: cycle %d, %d cores, %d recorder dumps",
+			back.Cycle, len(back.Cores), len(back.FlightRecorder))
+	}
+}
+
+func TestHangReportSummary(t *testing.T) {
+	cases := []struct {
+		name string
+		r    HangReport
+		want string
+	}{
+		{"no-progress", HangReport{Cycle: 900, Reason: "no-progress", Window: 400}, "no-progress at cycle 900 (400 idle cycles)"},
+		{"panic", HangReport{Cycle: 17, Reason: "panic", Panic: "l2: bad grant"}, "panic at cycle 17: l2: bad grant"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := c.r.Summary(); got != c.want {
+				t.Fatalf("Summary() = %q, want %q", got, c.want)
+			}
+			if got := (&HangError{Report: &c.r}).Error(); got != "sim: "+c.want {
+				t.Fatalf("HangError = %q", got)
+			}
+		})
+	}
+}

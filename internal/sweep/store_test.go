@@ -1,8 +1,10 @@
 package sweep
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -160,5 +162,164 @@ func TestWriteFileStampsSchema(t *testing.T) {
 	}
 	if f.SchemaVersion != SchemaVersion || f.Group != "quick" || len(f.Records) != 1 {
 		t.Fatalf("file = %+v", f)
+	}
+}
+
+// A file written under an older schema is stale: its records are misses,
+// and the next Flush rewrites it under the current schema even when the run
+// put nothing into that group.
+func TestStoreStaleSchemaFileRewrittenOnFlush(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, FileName("g"))
+	stale := fmt.Sprintf(`{"schema_version":%d,"group":"g","records":[{"group":"g","name":"p","fingerprint":"f","cycles":1,"reps":1}]}`,
+		SchemaVersion-1)
+	if err := os.WriteFile(path, []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Lookup("g", "p", "f"); ok {
+		t.Fatal("lookup served a record from a stale-schema file")
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := LoadFile(path)
+	if err != nil {
+		t.Fatalf("stale file not rewritten: %v", err)
+	}
+	if f.SchemaVersion != SchemaVersion || len(f.Records) != 0 {
+		t.Fatalf("rewritten file = %+v", f)
+	}
+}
+
+// A .tmp left by a writer killed before its rename is never read, and the
+// next write of the same file replaces it.
+func TestStoreStrayTempFileIgnored(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Put("g", Record{Name: "p", Fingerprint: "f", Cycles: 3, Reps: 1})
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, FileName("g")+".tmp")
+	if err := os.WriteFile(tmp, []byte(`{"schema_version":1,"group":"g","rec`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := st2.Lookup("g", "p", "f"); !ok || rec.Cycles != 3 {
+		t.Fatalf("committed record lost next to a stray temp file: %+v %v", rec, ok)
+	}
+	st2.Put("g", Record{Name: "q", Fingerprint: "f", Cycles: 4, Reps: 1})
+	if err := st2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("stray temp file survived the next write: %v", err)
+	}
+	if f, err := LoadFile(filepath.Join(dir, FileName("g"))); err != nil || len(f.Records) != 2 {
+		t.Fatalf("after write: %+v, %v", f, err)
+	}
+}
+
+// Flush writes only the groups changed since the last Flush; a group the
+// run did not touch keeps its file as it is.
+func TestStoreFlushWritesOnlyDirtyGroups(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Put("a", Record{Name: "p", Fingerprint: "f", Cycles: 1, Reps: 1})
+	st.Put("b", Record{Name: "p", Fingerprint: "f", Cycles: 1, Reps: 1})
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	bPath := filepath.Join(dir, FileName("b"))
+	marker := []byte("written by someone else\n")
+	if err := os.WriteFile(bPath, marker, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st.Put("a", Record{Name: "q", Fingerprint: "f", Cycles: 2, Reps: 1})
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(bPath); string(b) != string(marker) {
+		t.Fatalf("clean group b was rewritten:\n%s", b)
+	}
+	if f, err := LoadFile(filepath.Join(dir, FileName("a"))); err != nil || len(f.Records) != 2 {
+		t.Fatalf("dirty group a: %+v, %v", f, err)
+	}
+}
+
+// Looking up a group that has no file creates nothing on Flush.
+func TestStoreLookupOfMissingGroupWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Lookup("g", "p", "f"); ok {
+		t.Fatal("hit in an empty store")
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("lookup-only run wrote %d files", len(ents))
+	}
+}
+
+// Records hands out a copy: editing it does not change the store.
+func TestStoreRecordsReturnsCopy(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Put("g", Record{Name: "p", Fingerprint: "f", Cycles: 1, Reps: 1})
+	recs := st.Records("g")
+	recs[0].Cycles = 99
+	if rec, ok := st.Lookup("g", "p", "f"); !ok || rec.Cycles != 1 {
+		t.Fatalf("store changed through the Records copy: %+v", rec)
+	}
+}
+
+// The store is safe for concurrent use: parallel Put, Lookup and Records
+// across shared groups lose no record.
+func TestStoreConcurrentUse(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, perG = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			group := fmt.Sprintf("g%d", g%2)
+			for i := 0; i < perG; i++ {
+				name := fmt.Sprintf("w%d/p%d", g, i)
+				st.Put(group, Record{Name: name, Fingerprint: "f", Cycles: float64(i), Reps: 1})
+				if _, ok := st.Lookup(group, name, "f"); !ok {
+					t.Errorf("%s/%s missing right after Put", group, name)
+				}
+				st.Records(group)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, group := range []string{"g0", "g1"} {
+		if n := len(st.Records(group)); n != goroutines/2*perG {
+			t.Errorf("%s holds %d records, want %d", group, n, goroutines/2*perG)
+		}
 	}
 }
